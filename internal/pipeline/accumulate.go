@@ -229,6 +229,7 @@ func (a *CampaignAccumulator) Name() string { return "accumulate" }
 func (a *CampaignAccumulator) Close() error {
 	for i, wa := range a.worlds {
 		if !wa.done {
+			a.closeSpills()
 			return fmt.Errorf("pipeline: world %d stream never finished", i)
 		}
 	}
@@ -336,6 +337,9 @@ func (o ownedSection) Close() error { return o.f.Close() }
 // fix instant break by world order, matching the concatenation order
 // the resident path sorts.
 func (a *CampaignAccumulator) mergeSpilledTruth(homes []geo.LatLon) (*analysis.TruthIndex, float64, error) {
+	// The per-world spills are drained by the time the merge returns,
+	// and useless if it fails: release their fds on every exit.
+	defer a.closeSpills()
 	var cursors []*truthCursor
 	for _, wa := range a.worlds {
 		if wa.spill == nil {
@@ -394,12 +398,6 @@ func (a *CampaignAccumulator) mergeSpilledTruth(homes []geo.LatLon) (*analysis.T
 		out.Close()
 		return nil, 0, err
 	}
-	// The per-world spill files are fully drained; release their fds.
-	for _, wa := range a.worlds {
-		if wa.spill != nil {
-			wa.spill.f.Close()
-		}
-	}
 	size, err := out.Seek(0, io.SeekCurrent)
 	if err != nil {
 		out.Close()
@@ -415,6 +413,16 @@ func (a *CampaignAccumulator) mergeSpilledTruth(homes []geo.LatLon) (*analysis.T
 		removed = float64(total-kept) / float64(total)
 	}
 	return analysis.NewDiskTruthIndex(tf), removed, nil
+}
+
+// closeSpills releases every world's spill fd — the last reference to
+// the unlinked file. Safe to call more than once.
+func (a *CampaignAccumulator) closeSpills() {
+	for _, wa := range a.worlds {
+		if wa.spill != nil {
+			wa.spill.f.Close()
+		}
+	}
 }
 
 // State returns the assembled campaign state. Valid only after the

@@ -5,9 +5,9 @@
 // Each simulation world (a country's stay) owns a WorldEmitter. The
 // world's single-goroutine engine publishes records into it as they
 // happen — cloud-accepted reports, uploaded ground-truth fixes, crawl
-// records — and the emitter flushes them as seq-stamped batches into a
-// bounded channel. A merge stage drains the worlds' channels strictly
-// in world-index order and fans every batch out to the registered
+// records — and the emitter flushes them as seq-stamped batches onto
+// the world's own queue. A merge stage drains the queues strictly in
+// world-index order and fans every batch out to the registered
 // consumers, each running on its own goroutine behind its own bounded
 // channel: the store ingester feeds the sharded serving store, the
 // campaign accumulator grows the analysis state, and the columnar sink
@@ -17,16 +17,27 @@
 // (the engine is single-goroutine and the flush threshold is a record
 // count, never a wall clock), and the merge releases worlds in index
 // order, so the merged stream every consumer sees is byte-identical at
-// any worker count — the pipeline extends the runner package's
-// worker-invariance contract to streaming consumers.
+// any worker count and any ahead budget — the pipeline extends the
+// runner package's worker-invariance contract to streaming consumers.
 //
-// Backpressure and deadlock-freedom: a world that outruns its
-// consumers blocks on its bounded channel, pausing that world's
-// simulation — memory stays bounded by channel capacities. The merge
-// waits on worlds in index order, and runner.Map claims jobs in index
-// order, so the world being drained is always among the started ones:
-// every blocked world is strictly ahead of the drain cursor, and the
-// drained world never waits on another world. No cycle, no deadlock.
+// Backpressure and deadlock-freedom: the world at the merge cursor
+// appends to its queue and never waits. A world ahead of the cursor
+// appends too, and then waits only while the bytes queued by all worlds
+// ahead of the cursor exceed Config.AheadBytes; it resumes when the
+// cursor advances (which moves a whole world's bytes out of the ahead
+// sum). Ahead-of-cursor memory therefore stays within the budget plus
+// one batch per running world. The cursor world's queue holds only what
+// the merge has not yet handed to the consumers, so it grows only while
+// a consumer is slower than the simulation. runner.Map claims jobs in
+// index order, so the cursor world has always started; it never waits
+// on the budget, and consumers never wait on worlds, so the merge
+// always makes progress until the cursor world's final batch, and then
+// the cursor advances. Every waiting world is strictly ahead of the
+// cursor and waits only on the cursor's progress. No cycle, no
+// deadlock. A world that cannot finish its stream (its goroutine
+// panicked) aborts its emitter instead: the pipeline fails, every
+// waiter wakes, the merge stops and closes the consumers, and Wait
+// returns the error.
 package pipeline
 
 import (
@@ -35,6 +46,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"tagsim/internal/obs"
 	otrace "tagsim/internal/obs/trace"
@@ -51,6 +63,17 @@ var (
 	obsFixes   = obs.GetCounter("pipeline_fixes_total")
 	obsCrawls  = obs.GetCounter("pipeline_crawls_total")
 )
+
+// aheadBytes and aheadPeak are the process-wide ahead-of-cursor
+// buffer gauges: the batch bytes every pipeline's worlds hold queued
+// past their merge cursors right now, and the most ever held at once.
+// A peak near Config.AheadBytes means worlds did wait on the budget.
+var aheadBytes, aheadPeak atomic.Int64
+
+func init() {
+	obs.Default.GaugeFunc("pipeline_ahead_bytes", func() float64 { return float64(aheadBytes.Load()) })
+	obs.Default.GaugeFunc("pipeline_ahead_bytes_peak", func() float64 { return float64(aheadPeak.Load()) })
+}
 
 // streamingDisabled routes experiments.NewCampaign through the
 // historical batch path (materialize every dataset, then analyze)
@@ -102,6 +125,19 @@ type Batch struct {
 // Len returns the number of records in the batch (registrations aside).
 func (b *Batch) Len() int { return len(b.Reports) + len(b.Fixes) + len(b.Crawls) }
 
+// Record sizes for the ahead budget: the in-memory struct size of each
+// record kind (strings count by their headers only).
+const (
+	reportBytes = int64(unsafe.Sizeof(trace.Report{}))
+	fixBytes    = int64(unsafe.Sizeof(trace.GroundTruth{}))
+	crawlBytes  = int64(unsafe.Sizeof(trace.CrawlRecord{}))
+)
+
+// bytes is the batch's weight against the ahead budget.
+func (b *Batch) bytes() int64 {
+	return int64(len(b.Reports))*reportBytes + int64(len(b.Fixes))*fixBytes + int64(len(b.Crawls))*crawlBytes
+}
+
 // Consumer receives the merged, ordered batch stream. Consume runs on
 // the consumer's own goroutine (batches arrive strictly in (world, seq)
 // order); Close runs after the last batch, even when an earlier Consume
@@ -118,19 +154,30 @@ type Config struct {
 	// only — consumers that persist bytes (ReportSink) re-frame the
 	// stream at their own threshold, so dump bytes never depend on it.
 	FlushEvery int
-	// WorldBuffer is each world channel's batch capacity (default 4).
-	WorldBuffer int
+	// AheadBytes bounds the batch bytes queued by the worlds ahead of
+	// the merge cursor, summed over all of them (default 32 MiB). A
+	// world ahead of the cursor waits while the sum exceeds it; the
+	// cursor world never waits. Bytes count records at their struct
+	// size, so the bound does not depend on FlushEvery. It trades
+	// memory for overlap only: the merged stream is the same at any
+	// value.
+	AheadBytes int64
 	// ConsumerBuffer is each consumer channel's batch capacity
 	// (default 8).
 	ConsumerBuffer int
 }
 
+// defaultAheadBytes is Config.AheadBytes' default: above the whole
+// Scale 0.1 campaign stream (~22 MB), so at that size no world ever
+// waits, while larger campaigns stay capped.
+const defaultAheadBytes = 32 << 20
+
 func (c *Config) defaults() {
 	if c.FlushEvery <= 0 {
 		c.FlushEvery = 512
 	}
-	if c.WorldBuffer <= 0 {
-		c.WorldBuffer = 4
+	if c.AheadBytes <= 0 {
+		c.AheadBytes = defaultAheadBytes
 	}
 	if c.ConsumerBuffer <= 0 {
 		c.ConsumerBuffer = 8
@@ -147,6 +194,16 @@ type Pipeline struct {
 	done     chan struct{}
 	waitOnce sync.Once
 	waitErr  error
+
+	// mu guards every emitter's queue and the fields below. ready wakes
+	// the merge when the cursor world queues a batch; room wakes the
+	// worlds ahead of the cursor when it advances. A failure wakes both.
+	mu     sync.Mutex
+	ready  sync.Cond
+	room   sync.Cond
+	cursor int   // world the merge is draining
+	ahead  int64 // bytes queued by worlds past the cursor
+	failed error // first abort; stops the merge
 }
 
 // consumerRunner drives one consumer on its own goroutine. sent /
@@ -205,12 +262,9 @@ func (r *consumerRunner) run() {
 func New(worlds int, cfg Config, consumers ...Consumer) *Pipeline {
 	cfg.defaults()
 	p := &Pipeline{cfg: cfg, done: make(chan struct{})}
+	p.ready.L, p.room.L = &p.mu, &p.mu
 	for i := 0; i < worlds; i++ {
-		p.emitters = append(p.emitters, &WorldEmitter{
-			world:      i,
-			flushEvery: cfg.FlushEvery,
-			ch:         make(chan Batch, cfg.WorldBuffer),
-		})
+		p.emitters = append(p.emitters, &WorldEmitter{p: p, world: i, flushEvery: cfg.FlushEvery})
 	}
 	for i, c := range consumers {
 		name := fmt.Sprintf("consumer%d", i)
@@ -228,9 +282,10 @@ func New(worlds int, cfg Config, consumers ...Consumer) *Pipeline {
 	return p
 }
 
-// merge drains the world channels strictly in index order, validates
+// merge drains the world queues strictly in index order, validates
 // the (world, seq, final) framing, and fans each batch out to every
-// consumer channel.
+// consumer channel. It stops early, still closing the consumers, when
+// the pipeline fails.
 func (p *Pipeline) merge() {
 	defer close(p.done)
 	defer func() {
@@ -239,17 +294,21 @@ func (p *Pipeline) merge() {
 		}
 	}()
 	for w, em := range p.emitters {
-		var nextSeq uint64
-		sawFinal := false
-		for b := range em.ch {
-			if b.World != w || b.Seq != nextSeq || sawFinal {
+		if w > 0 {
+			p.advance(w)
+		}
+		for nextSeq, final := uint64(0), false; !final; nextSeq++ {
+			b, ok := p.pop(em)
+			if !ok {
+				return
+			}
+			if b.World != w || b.Seq != nextSeq {
 				// A broken emitter contract is a programming error, not
 				// a runtime condition to limp through.
 				panic(fmt.Sprintf("pipeline: world %d emitted batch (world=%d seq=%d final=%v), want seq %d",
 					w, b.World, b.Seq, b.Final, nextSeq))
 			}
-			nextSeq++
-			sawFinal = b.Final
+			final = b.Final
 			obsBatches.Inc()
 			obsReports.Add(uint64(len(b.Reports)))
 			obsFixes.Add(uint64(len(b.Fixes)))
@@ -259,8 +318,89 @@ func (p *Pipeline) merge() {
 				r.ch <- b
 			}
 		}
-		if !sawFinal {
-			panic(fmt.Sprintf("pipeline: world %d closed without a final batch", w))
+	}
+}
+
+// advance moves the merge cursor on to world w: w's queued bytes leave
+// the ahead sum, and the worlds waiting on the budget re-check it.
+func (p *Pipeline) advance(w int) {
+	p.mu.Lock()
+	p.cursor = w
+	p.addAhead(-p.emitters[w].queued)
+	p.room.Broadcast()
+	p.mu.Unlock()
+}
+
+// pop takes the cursor world's next batch, waiting until it has one;
+// ok is false once the pipeline has failed.
+func (p *Pipeline) pop(em *WorldEmitter) (b Batch, ok bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for len(em.queue) == 0 && p.failed == nil {
+		p.ready.Wait()
+	}
+	if p.failed != nil {
+		return Batch{}, false
+	}
+	b = em.queue[0]
+	em.queue[0] = Batch{} // drop the queue's reference for the GC
+	em.queue = em.queue[1:]
+	em.queued -= b.bytes()
+	return b, true
+}
+
+// enqueue appends a sealed batch to its world's queue. The cursor world
+// returns at once; a world ahead of the cursor then waits while the
+// ahead sum exceeds the budget. After a failure batches are dropped:
+// the merge has stopped and nothing would ever drain them.
+func (p *Pipeline) enqueue(e *WorldEmitter, b Batch) {
+	n := b.bytes()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.failed != nil {
+		return
+	}
+	e.queue = append(e.queue, b)
+	e.queued += n
+	if e.world == p.cursor {
+		p.ready.Signal()
+		return
+	}
+	p.addAhead(n)
+	for e.world > p.cursor && p.ahead > p.cfg.AheadBytes && p.failed == nil {
+		p.room.Wait()
+	}
+}
+
+// fail stops the pipeline with err (the first failure wins): queued
+// batches are dropped, their bytes released, and the merge and every
+// waiting world wake.
+func (p *Pipeline) fail(err error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.failed != nil {
+		return
+	}
+	p.failed = err
+	p.addAhead(-p.ahead)
+	for _, em := range p.emitters {
+		em.queue, em.queued = nil, 0
+	}
+	p.ready.Broadcast()
+	p.room.Broadcast()
+}
+
+// addAhead moves the ahead sum by n, here and in the process gauges.
+// Callers hold p.mu.
+func (p *Pipeline) addAhead(n int64) {
+	if n == 0 {
+		return
+	}
+	p.ahead += n
+	now := aheadBytes.Add(n)
+	for peak := aheadPeak.Load(); now > peak; peak = aheadPeak.Load() {
+		if aheadPeak.CompareAndSwap(peak, now) {
+			break
 		}
 	}
 }
@@ -308,13 +448,15 @@ func (p *Pipeline) ConsumerStats() []ConsumerStats {
 }
 
 // Wait blocks until every world's stream has been merged and every
-// consumer has consumed it and closed, then returns the first consumer
-// error (consumers are checked in registration order). It is safe to
-// call more than once.
+// consumer has consumed it and closed, then returns the pipeline's
+// abort error, if a world aborted, joined with the consumer errors (in
+// registration order). It is safe to call more than once.
 func (p *Pipeline) Wait() error {
 	p.waitOnce.Do(func() {
 		<-p.done
-		var errs []error
+		p.mu.Lock()
+		errs := []error{p.failed}
+		p.mu.Unlock()
 		for _, r := range p.runners {
 			<-r.done
 			if r.err != nil {
@@ -328,14 +470,20 @@ func (p *Pipeline) Wait() error {
 
 // WorldEmitter is one world's publishing end of the pipeline. All
 // methods must be called from the world's own (single) goroutine; the
-// bounded channel provides the cross-goroutine handoff.
+// world's queue, guarded by the pipeline's lock, is the
+// cross-goroutine handoff.
 type WorldEmitter struct {
+	p          *Pipeline
 	world      int
 	flushEvery int
-	ch         chan Batch
 	seq        uint64
 	cur        Batch
 	closed     bool
+
+	// Guarded by p.mu: batches sealed but not yet merged, and their
+	// bytes.
+	queue  []Batch
+	queued int64
 }
 
 // RegisterTag announces a (vendor, tag) pairing to the consumers.
@@ -368,24 +516,43 @@ func (e *WorldEmitter) maybeFlush() {
 	}
 }
 
-// flush seals the current batch and sends it (blocking on a full
-// channel — the pipeline's backpressure).
+// flush seals the current batch and queues it (waiting on the ahead
+// budget if this world is past the merge cursor).
 func (e *WorldEmitter) flush(final bool) {
+	if e.closed {
+		panic("pipeline: WorldEmitter used after Close")
+	}
 	b := e.cur
 	b.World, b.Seq, b.Final = e.world, e.seq, final
 	e.seq++
 	e.cur = Batch{}
-	e.ch <- b
+	e.p.enqueue(e, b)
 }
 
 // Close flushes whatever remains as the world's final batch (possibly
-// empty — consumers still need the end-of-world marker) and closes the
-// channel. Must be called exactly once, after the world finished.
+// empty — consumers still need the end-of-world marker). Must be called
+// exactly once, after the world finished. It drops the emitter's
+// pipeline reference, so a tap that outlives its world (a cloud
+// service kept in the campaign result) does not pin the pipeline and
+// its consumers' state.
 func (e *WorldEmitter) Close() {
 	if e.closed {
 		panic("pipeline: WorldEmitter closed twice")
 	}
-	e.closed = true
 	e.flush(true)
-	close(e.ch)
+	e.closed, e.p = true, nil
+}
+
+// Abort ends the world's stream without a final batch: the pipeline
+// fails, the merge stops and closes the consumers (none sees a final
+// batch for this world), and Wait returns an error. It is a no-op after
+// Close, so a world defers it to cover every exit that skips Close —
+// a panic above all, which would otherwise leave the merge, and every
+// world waiting on the budget, blocked forever.
+func (e *WorldEmitter) Abort() {
+	if e.closed {
+		return
+	}
+	e.p.fail(fmt.Errorf("pipeline: world %d aborted before closing its stream", e.world))
+	e.closed, e.p = true, nil
 }

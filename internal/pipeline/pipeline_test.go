@@ -5,12 +5,16 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"tagsim/internal/cloud"
 	"tagsim/internal/geo"
+	"tagsim/internal/obs"
+	"tagsim/internal/runner"
 	"tagsim/internal/trace"
 )
 
@@ -102,14 +106,14 @@ func runWorlds(p *Pipeline, nWorlds, nPerWorld int, seed int64) {
 }
 
 // TestOrderedMergeDeterminism is the pipeline's core contract: however
-// the world goroutines interleave in real time, every consumer sees the
-// same batch stream — world-major, seq-contiguous, byte-identical
-// across runs.
+// the world goroutines interleave in real time, and however small the
+// ahead budget, every consumer sees the same batch stream —
+// world-major, seq-contiguous, byte-identical across runs.
 func TestOrderedMergeDeterminism(t *testing.T) {
 	const nWorlds, nPer = 5, 300
-	run := func(seed int64) []Batch {
+	run := func(seed, aheadBytes int64) []Batch {
 		c := &collector{}
-		p := New(nWorlds, Config{FlushEvery: 64}, c)
+		p := New(nWorlds, Config{FlushEvery: 64, AheadBytes: aheadBytes}, c)
 		runWorlds(p, nWorlds, nPer, seed)
 		if err := p.Wait(); err != nil {
 			t.Fatal(err)
@@ -119,8 +123,8 @@ func TestOrderedMergeDeterminism(t *testing.T) {
 		}
 		return c.batches
 	}
-	a := run(1)
-	b := run(99) // different sleep pattern, same logical stream
+	a := run(1, 0)
+	b := run(99, 0) // different sleep pattern, same logical stream
 
 	// Ordering: world-major, seq contiguous from 0, exactly one Final.
 	world, seq := 0, uint64(0)
@@ -140,6 +144,154 @@ func TestOrderedMergeDeterminism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Error("merged batch stream differs between runs with different real-time interleavings")
+	}
+	// A 1-byte budget lets each world ahead of the cursor queue a
+	// single batch before it waits: the most coupled schedule there is.
+	for _, seed := range []int64{1, 99} {
+		if !reflect.DeepEqual(a, run(seed, 1)) {
+			t.Errorf("merged batch stream at a 1-byte ahead budget (seed %d) differs from the default budget's", seed)
+		}
+	}
+}
+
+// gaugeValue reads a gauge from the obs.Default registry's rendering.
+func gaugeValue(t *testing.T, name string) float64 {
+	t.Helper()
+	for _, kv := range strings.Fields(obs.Default.Compact()) {
+		if v, ok := strings.CutPrefix(kv, name+"="); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("gauge %s: %v", name, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("gauge %s not registered", name)
+	return 0
+}
+
+// waitTimeout fails the test if done is not closed within 5 s — the
+// failure mode of every pipeline bug this guards is a hang.
+func waitTimeout(t *testing.T, done <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s did not finish within 5 s", what)
+	}
+}
+
+// TestWorldsNeverWaitOnTheCursor: worlds 1..N run their whole streams
+// to Close before world 0 emits its first batch. With per-world queues
+// under the default ahead budget none of them waits on the merge
+// cursor; the merged stream is still world-major, and the ahead gauge
+// saw their bytes and returns to zero once the stream is merged.
+func TestWorldsNeverWaitOnTheCursor(t *testing.T) {
+	const nWorlds, nPer = 4, 500
+	c := &collector{}
+	p := New(nWorlds, Config{FlushEvery: 16}, c)
+	ahead := make(chan struct{})
+	go func() {
+		defer close(ahead)
+		var wg sync.WaitGroup
+		for w := 1; w < nWorlds; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				em := p.World(w)
+				for i := 0; i < nPer; i++ {
+					em.Report(synthReport(w, i))
+				}
+				em.Close()
+			}(w)
+		}
+		wg.Wait()
+	}()
+	waitTimeout(t, ahead, "worlds ahead of the cursor")
+	em := p.World(0)
+	for i := 0; i < nPer; i++ {
+		em.Report(synthReport(0, i))
+	}
+	em.Close()
+	if err := p.Wait(); err != nil {
+		t.Fatal(err)
+	}
+
+	var aheadSum int64
+	world := 0
+	for _, b := range c.batches {
+		if b.World != world {
+			t.Fatalf("batch from world %d while merging world %d", b.World, world)
+		}
+		if b.World > 0 {
+			aheadSum += b.bytes()
+		}
+		if b.Final {
+			world++
+		}
+	}
+	if world != nWorlds {
+		t.Fatalf("saw final batches for %d worlds, want %d", world, nWorlds)
+	}
+	if got := gaugeValue(t, "pipeline_ahead_bytes"); got != 0 {
+		t.Errorf("pipeline_ahead_bytes = %v after Wait, want 0", got)
+	}
+	if got := gaugeValue(t, "pipeline_ahead_bytes_peak"); got < float64(aheadSum) {
+		t.Errorf("pipeline_ahead_bytes_peak = %v, want at least the %d bytes worlds 1..%d queued", got, aheadSum, nWorlds-1)
+	}
+}
+
+// TestAbortedWorldFailsPipeline: a world that panics aborts its emitter
+// (scenario.CountryJob.Run defers Abort the same way), so the world
+// ahead of it, waiting on a 1-byte budget, wakes; runner.Map re-raises
+// the panic instead of hanging; the merge stops and still closes the
+// consumers, which never see a final batch; and Wait reports the abort.
+func TestAbortedWorldFailsPipeline(t *testing.T) {
+	c := &collector{}
+	p := New(2, Config{FlushEvery: 1, AheadBytes: 1}, c)
+	var recovered any
+	mapped := make(chan struct{})
+	go func() {
+		defer close(mapped)
+		defer func() { recovered = recover() }()
+		runner.Map(2, 2, func(w int) struct{} {
+			em := p.World(w)
+			defer em.Abort()
+			if w == 0 {
+				panic("world 0 failed")
+			}
+			for i := 0; i < 100; i++ {
+				em.Report(synthReport(w, i))
+			}
+			em.Close()
+			return struct{}{}
+		})
+	}()
+	waitTimeout(t, mapped, "runner.Map")
+	if recovered != "world 0 failed" {
+		t.Errorf("runner.Map re-raised %v, want the world's panic", recovered)
+	}
+
+	var err error
+	waited := make(chan struct{})
+	go func() {
+		defer close(waited)
+		err = p.Wait()
+	}()
+	waitTimeout(t, waited, "Wait")
+	if err == nil || !strings.Contains(err.Error(), "world 0 aborted") {
+		t.Errorf("Wait error = %v, want world 0's abort", err)
+	}
+	if !c.closed {
+		t.Error("consumer not closed after the pipeline failed")
+	}
+	for _, b := range c.batches {
+		if b.Final {
+			t.Errorf("consumer saw a final batch for world %d of a failed pipeline", b.World)
+		}
+	}
+	if got := gaugeValue(t, "pipeline_ahead_bytes"); got != 0 {
+		t.Errorf("pipeline_ahead_bytes = %v after a failed pipeline, want 0", got)
 	}
 }
 

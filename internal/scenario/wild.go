@@ -207,8 +207,16 @@ func PlanWild(cfg WildConfig) []CountryJob {
 	return jobs
 }
 
-// Run executes the job: build the world, then run it to completion.
-func (j CountryJob) Run() CountryResult { return j.build().run() }
+// Run executes the job: build the world, then run it to completion. In
+// a streaming run a panic in either phase aborts the world's emitter
+// (a no-op once run has closed it), so the pipeline fails instead of
+// waiting forever on a stream that will never end.
+func (j CountryJob) Run() CountryResult {
+	if j.Cfg.Stream != nil {
+		defer j.Cfg.Stream.World(j.Index).Abort()
+	}
+	return j.build().run()
+}
 
 // RunWild simulates the full campaign. Countries are independent worlds
 // occupying consecutive time windows, so they run concurrently on
@@ -444,9 +452,9 @@ func (j CountryJob) build() *countryWorld {
 
 	// Streaming: tap every record stream into the world's pipeline
 	// emitter. The taps run on the engine's goroutine, so emission
-	// order is the engine's deterministic event order; the bounded
-	// channel hands the stream to the pipeline's consumers. None of
-	// this perturbs any RNG draw, so the simulated records are
+	// order is the engine's deterministic event order; the world's
+	// pipeline queue hands the stream to the pipeline's consumers. None
+	// of this perturbs any RNG draw, so the simulated records are
 	// byte-identical to a batch run with the same seed.
 	var em *pipeline.WorldEmitter
 	if cfg.Stream != nil {
