@@ -291,14 +291,12 @@ func regenerateAnalysisFigures(c *tagsim.Campaign) float64 {
 }
 
 // BenchmarkAnalysisSweep times the full Figure 5a-f + 8 regeneration on
-// small and large crawl logs, before and after the analysis-plane
-// index. mode=legacy routes every metric through the historical
-// per-figure rescans (tagsim.SetIndexedAnalysis escape hatch, one dedup
-// + truth resolution per sweep point); mode=indexed merges against the
-// campaign's cached per-vendor columnar indexes. Both run the worker
-// pool at one worker so ns/op compares the analysis work itself;
-// mode=indexed-parallel adds the figure fan-out across all CPUs. The
-// recorded baseline lives in BENCH_analysis.json.
+// small and large crawl logs. mode=indexed merges against the
+// campaign's cached per-vendor columnar indexes on one worker, so ns/op
+// measures the analysis work itself; mode=indexed-parallel adds the
+// figure fan-out across all CPUs. BENCH_analysis.json records the sweep
+// (its mode=legacy column measured the per-figure rescans the index
+// replaced).
 func BenchmarkAnalysisSweep(b *testing.B) {
 	// The campaigns resolve lazily inside b.Run so a filtered run (such
 	// as CI's /log=small smoke) never simulates the large shape.
@@ -310,7 +308,7 @@ func BenchmarkAnalysisSweep(b *testing.B) {
 		{"log=large", largeAnalysisCampaign},
 	}
 	for _, shape := range shapes {
-		for _, mode := range []string{"legacy", "indexed", "indexed-parallel"} {
+		for _, mode := range []string{"indexed", "indexed-parallel"} {
 			mode := mode
 			b.Run(shape.name+"/mode="+mode, func(b *testing.B) {
 				run := *shape.c(b) // shallow per-mode copy to pin the worker knob
@@ -318,10 +316,6 @@ func BenchmarkAnalysisSweep(b *testing.B) {
 					run.Options.Workers = 0
 				} else {
 					run.Options.Workers = 1
-				}
-				if mode == "legacy" {
-					was := tagsim.SetIndexedAnalysis(false)
-					defer tagsim.SetIndexedAnalysis(was)
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -658,20 +652,18 @@ func serveBenchFixture(b *testing.B) (map[tagsim.Vendor]*tagsim.CloudService, []
 // BenchmarkServeRead sweeps the query plane across serving path
 // (svc: in-process stores; http: the full HTTP stack), read mix
 // (60/75/90% reads, writes making up the rest), client count, and read
-// mode (locked: the historical mutex path; lockfree: epoch views;
-// cached: epoch views + hot-tag cache). Reported metrics are the load
-// harness's req/s and p50/p95/p99 service latency; BENCH_serve.json
-// records the sweep.
+// mode (lockfree: epoch views; cached: epoch views + hot-tag cache).
+// Reported metrics are the load harness's req/s and p50/p95/p99 service
+// latency; BENCH_serve.json records the sweep (its locked column
+// measured the mutex read path the epoch views replaced).
 func BenchmarkServeRead(b *testing.B) {
 	services, tags := serveBenchFixture(b)
 	modes := []struct {
 		name   string
-		locked bool
 		cached bool
 	}{
-		{"locked", true, false},
-		{"lockfree", false, false},
-		{"cached", false, true},
+		{"lockfree", false},
+		{"cached", true},
 	}
 	for _, path := range []string{"svc", "http"} {
 		for _, mix := range []int{60, 75, 90} {
@@ -679,12 +671,8 @@ func BenchmarkServeRead(b *testing.B) {
 				for _, mode := range modes {
 					name := fmt.Sprintf("path=%s/mix=%d/clients=%d/%s", path, mix, clients, mode.name)
 					b.Run(name, func(b *testing.B) {
-						wasLocked := tagsim.SetLockedReads(mode.locked)
 						wasCached := tagsim.SetHotCache(mode.cached)
-						defer func() {
-							tagsim.SetLockedReads(wasLocked)
-							tagsim.SetHotCache(wasCached)
-						}()
+						defer tagsim.SetHotCache(wasCached)
 						var target tagsim.LoadTarget
 						var shutdown func()
 						switch path {

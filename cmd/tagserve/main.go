@@ -24,7 +24,7 @@
 //	         [-store-dir DIR] [-memtable-bytes N] [-retention SPEC]
 //	         [-load N] [-requests N] [-direct] [-writes PCT]
 //	         [-open-loop -rate R]
-//	         [-locked-reads] [-no-cache]
+//	         [-no-cache]
 //	         [-addr :8080] [-pprof]
 //
 // -store-dir makes the vendor stores persistent: every vendor keeps a
@@ -38,10 +38,9 @@
 // -writes dials the write share of the load mix (reads get the rest,
 // in the crawler's proportions). -open-loop switches the harness to
 // Poisson arrivals at -rate requests/second — the
-// coordinated-omission-honest view of tail latency. -locked-reads and
-// -no-cache are the serving plane's escape hatches: they fall back to
-// the mutex read path and bypass the hot-tag cache, the configuration
-// the lock-free epoch views and the cache are benchmarked against.
+// coordinated-omission-honest view of tail latency. -no-cache is the
+// serving plane's escape hatch: it bypasses the hot-tag cache, the
+// configuration the cache is benchmarked against.
 //
 // Observability: the server always exposes GET /metrics (Prometheus
 // text) and GET /debug/vars (flat JSON) — per-endpoint latency
@@ -98,7 +97,6 @@ func main() {
 	writes := flag.Int("writes", 0, "write (POST /v1/report) share of the load mix in percent")
 	openLoop := flag.Bool("open-loop", false, "open-loop Poisson arrivals instead of the closed loop")
 	rate := flag.Float64("rate", 2000, "open-loop offered arrival rate across all workers, requests/second")
-	lockedReads := flag.Bool("locked-reads", false, "escape hatch: serve reads under the shard locks instead of the epoch views")
 	noCache := flag.Bool("no-cache", false, "escape hatch: bypass the hot-tag query cache")
 	addr := flag.String("addr", "", "serve the query API on this address until SIGINT/SIGTERM (empty: exit after the load report)")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -112,7 +110,6 @@ func main() {
 		log.Fatalf("-retention: %v", retErr)
 	}
 	tierCfg := store.Tiering{Dir: *storeDir, MemtableBytes: *memtableBytes, Retention: ret}
-	store.SetLockedReads(*lockedReads)
 	cloud.SetHotCache(!*noCache)
 	loadCfg := load.Config{
 		Workers: *loadWorkers, Requests: *requests, Seed: *seed,
@@ -476,18 +473,14 @@ func servicesFromTraces(dir string, shards, historyLimit int, tierCfg store.Tier
 func newServices(shards, historyLimit int, tierCfg store.Tiering) (map[trace.Vendor]*cloud.Service, error) {
 	out := map[trace.Vendor]*cloud.Service{}
 	for _, v := range []trace.Vendor{trace.VendorApple, trace.VendorSamsung} {
-		if tierCfg.Dir == "" {
-			svc := cloud.NewServiceSharded(v, shards)
-			svc.HistoryLimit = historyLimit
-			svc.Retention = tierCfg.Retention
-			out[v] = svc
-			continue
-		}
 		cfg := tierCfg
-		cfg.Dir = filepath.Join(tierCfg.Dir, strings.ToLower(v.String()))
+		if tierCfg.Dir != "" {
+			cfg.Dir = filepath.Join(tierCfg.Dir, strings.ToLower(v.String()))
+		}
 		if cfg.Retention.KeepLast == 0 && historyLimit > 0 {
-			// -history-limit maps onto keep-last retention so WAL replay
-			// and reads trim identically on a persistent store.
+			// -history-limit maps onto keep-last retention, the bound
+			// both ring appends and (on a persistent store) WAL replay
+			// and reads trim to.
 			cfg.Retention.KeepLast = historyLimit
 		}
 		svc, err := cloud.NewServicePersistent(v, shards, cfg)

@@ -177,33 +177,6 @@ func TestIndexEmptyInputs(t *testing.T) {
 	}
 }
 
-// TestSetIndexedAnalysis: the escape hatch must route the exported entry
-// points through the scan reference and report its previous state.
-func TestSetIndexedAnalysis(t *testing.T) {
-	was := SetIndexedAnalysis(false)
-	defer SetIndexedAnalysis(was)
-	if IndexedAnalysis() {
-		t.Fatal("toggle did not disable indexing")
-	}
-	ti := NewTruthIndex(walkFixes(t0, origin, 3.6, time.Hour))
-	var reports []trace.CrawlRecord
-	for i := 0; i < 6; i++ {
-		at := t0.Add(time.Duration(i)*10*time.Minute + 5*time.Minute)
-		pos, _ := ti.At(at)
-		reports = append(reports, crawlAt(at, pos))
-	}
-	res := Accuracy(ti, reports, 10*time.Minute, 10, t0, t0.Add(time.Hour))
-	if res.Buckets != 6 || res.Hits != 6 {
-		t.Errorf("scan-routed Accuracy = %+v, want 6/6", res)
-	}
-	if got := SetIndexedAnalysis(true); got != false {
-		t.Errorf("SetIndexedAnalysis returned was=%v, want false", got)
-	}
-	if !IndexedAnalysis() {
-		t.Error("toggle did not re-enable indexing")
-	}
-}
-
 // TestIndexReusableAcrossSweeps: one index must answer many different
 // (bucket, radius, window) queries — the cursor state is per call, not
 // per index.

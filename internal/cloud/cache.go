@@ -40,7 +40,7 @@ const DefaultHotCacheSlots = 4096
 
 // hotCacheDisabled bypasses the cache (every query recomputes against
 // the stores) — the escape hatch the cached-vs-direct equivalence
-// tests and benchmarks toggle, mirroring store.SetLockedReads.
+// tests and benchmarks toggle, and tagserve -no-cache sets.
 var hotCacheDisabled atomic.Bool
 
 // SetHotCache toggles hot-tag caching (default on). It returns the

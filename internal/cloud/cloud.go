@@ -79,8 +79,8 @@ func NewServiceSharded(vendor trace.Vendor, shards int) *Service {
 // store: the service's state lives in cfg.Dir (WAL + columnar segments)
 // and a restart warm-loads it, replaying only the WAL tail. The cloud
 // policy fills in like the other constructors — the default rate cap
-// unless cfg overrides it, history always on. With an empty cfg.Dir (or
-// store.SetTiered(false)) this degenerates to NewServiceSharded.
+// unless cfg overrides it, history always on. With an empty cfg.Dir
+// this degenerates to NewServiceSharded.
 func NewServicePersistent(vendor trace.Vendor, shards int, cfg store.Tiering) (*Service, error) {
 	if cfg.MinUpdateInterval == 0 {
 		cfg.MinUpdateInterval = DefaultMinUpdateInterval

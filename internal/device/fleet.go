@@ -4,7 +4,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"tagsim/internal/geo"
@@ -29,8 +28,8 @@ import (
 // Candidates are produced in ascending device-index order — exactly the
 // order the historical linear scan produced — so every downstream RNG
 // draw sequence, and therefore the whole simulation output, is
-// byte-identical to the unindexed implementation (property-tested in
-// fleet_prop_test.go and end-to-end in scenario.TestWildGridEquivalence).
+// byte-identical to the unindexed implementation (property-tested
+// against NearBrute in fleet_prop_test.go).
 type Fleet struct {
 	devices []*Device
 	enu     *geo.ENU
@@ -56,19 +55,6 @@ type Fleet struct {
 	idx     []int32
 }
 
-// gridDisabled turns off grid construction process-wide; every query then
-// takes the brute-force path. It exists so equivalence tests and recorded
-// benchmarks can exercise the historical linear scan through unmodified
-// simulation code, including worlds built on concurrent workers.
-var gridDisabled atomic.Bool
-
-// SetGridIndexing toggles the spatial grid for fleets built afterwards
-// (testing/benchmark escape hatch; the default is enabled). It returns
-// the previous setting so tests can restore it.
-func SetGridIndexing(enabled bool) (was bool) {
-	return !gridDisabled.Swap(!enabled)
-}
-
 // Grid sizing bounds. The cell edge tracks the roam-bound distribution
 // but never drops below minCellM (degenerate all-stationary fleets would
 // otherwise build enormous grids), and the grid never exceeds
@@ -91,9 +77,7 @@ func NewFleet(origin geo.LatLon, devices []*Device) *Fleet {
 		f.xs[i], f.ys[i] = f.enu.Forward(d.Home)
 		f.roamM[i] = roamBound(d)
 	}
-	if !gridDisabled.Load() {
-		f.buildGrid()
-	}
+	f.buildGrid()
 	return f
 }
 

@@ -56,19 +56,29 @@ func randomFleet(rng *rand.Rand, n int, spreadM float64) *Fleet {
 
 // TestNearGridMatchesBrute is the index's correctness property: for
 // randomized fleets, query points, radii, and times, the grid-indexed
-// Near returns exactly the brute-force scan's candidates in exactly its
-// order — including inactive devices and infinite roam bounds. Order
-// matters: the encounter plane draws from one RNG stream per scan, so a
-// reordered candidate set would silently change simulation output.
+// Near — and the concurrent Searcher's NearIndices — return exactly the
+// brute-force scan's candidates in exactly its order, including inactive
+// devices, infinite roam bounds and fleets whose grid coexists with a
+// non-empty overflow list. Order matters: the encounter plane draws from
+// one RNG stream per scan, so a reordered candidate set would silently
+// change simulation output.
 func TestNearGridMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
+	mixed := 0 // fleets with both grid cells and overflow devices
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + rng.Intn(400)
 		spread := []float64{300, 3000, 30000}[rng.Intn(3)]
 		f := randomFleet(rng, n, spread)
-		if st := f.GridStats(); trial == 0 && st.Cells == 0 {
+		st := f.GridStats()
+		if trial == 0 && st.Cells == 0 {
 			t.Fatal("grid was not built for the first randomized fleet")
 		}
+		if st.Cells > 0 && st.Overflow > 0 {
+			mixed++
+		}
+		devs := f.Devices()
+		s := f.Searcher()
+		var idx []int32
 		for q := 0; q < 25; q++ {
 			pos := geo.Destination(origin, rng.Float64()*360, rng.Float64()*spread*1.5)
 			radius := []float64{1, 50, 120, 1000, 20000}[rng.Intn(5)]
@@ -85,12 +95,26 @@ func TestNearGridMatchesBrute(t *testing.T) {
 						trial, q, i, got[i].ID, want[i].ID)
 				}
 			}
+			idx = s.NearIndices(pos, at, radius, idx[:0])
+			if len(idx) != len(want) {
+				t.Fatalf("trial %d query %d: searcher %d candidates, brute %d", trial, q, len(idx), len(want))
+			}
+			for i, di := range idx {
+				if devs[di] != want[i] {
+					t.Fatalf("trial %d query %d: searcher candidate %d is %s, brute has %s",
+						trial, q, i, devs[di].ID, want[i].ID)
+				}
+			}
 		}
+	}
+	if mixed == 0 {
+		t.Error("no randomized fleet combined grid cells with a non-empty overflow list")
 	}
 }
 
 // TestNearGridOverflowOnly: a fleet whose every member has an unbounded
-// or outsized roam must still answer correctly (grid may be empty).
+// roam builds no grid, and the nil-grid linear fallback must still
+// answer correctly.
 func TestNearGridOverflowOnly(t *testing.T) {
 	devices := []*Device{}
 	for i := 0; i < 8; i++ {
@@ -98,28 +122,15 @@ func TestNearGridOverflowOnly(t *testing.T) {
 		devices = append(devices, d)
 	}
 	f := NewFleet(origin, devices)
+	if st := f.GridStats(); st.Cells != 0 {
+		t.Fatalf("grid built over an all-unbounded fleet: %+v", st)
+	}
+	if got := f.Near(origin, t0, 100, nil); len(got) != 8 {
+		t.Errorf("linear fallback lost devices, got %d/8", len(got))
+	}
 	far := geo.Destination(origin, 45, 1e6)
 	if got := f.Near(far, t0, 10, nil); len(got) != 8 {
 		t.Errorf("unbounded devices must always be candidates, got %d/8", len(got))
-	}
-}
-
-// TestSetGridIndexing: disabling the grid forces the linear path and
-// restores cleanly.
-func TestSetGridIndexing(t *testing.T) {
-	was := SetGridIndexing(false)
-	defer SetGridIndexing(was)
-	f := NewFleet(origin, []*Device{newApple("a")})
-	if st := f.GridStats(); st.Cells != 0 {
-		t.Errorf("grid built despite SetGridIndexing(false): %+v", st)
-	}
-	if got := f.Near(origin, t0, 100, nil); len(got) != 1 {
-		t.Error("linear fallback lost the device")
-	}
-	SetGridIndexing(true)
-	f2 := NewFleet(origin, []*Device{newApple("a"), newApple("b")})
-	if st := f2.GridStats(); st.Cells == 0 {
-		t.Errorf("grid absent after re-enabling: %+v", st)
 	}
 }
 

@@ -18,8 +18,8 @@
 // inherently serial. The engine breaks same-time event ties by insertion
 // order, so the in-order replay makes the sharded schedule — and
 // therefore the whole simulation output — byte-identical to the serial
-// path at any worker count (see SetRegionSharding and the region
-// equivalence tests).
+// path at any worker count (see the region equivalence tests, which
+// compare ScanWorkers > 1 against the serial ScanWorkers <= 1 tick).
 package encounter
 
 import (
@@ -53,8 +53,9 @@ type Config struct {
 	// Receiver is the scanning radio model (defaults to a typical phone).
 	Receiver ble.Receiver
 	// ScanWorkers shards the scan tick across grid regions on a reusable
-	// worker pool (<= 1 keeps the historical serial tick). Output is
-	// byte-identical at any value; see the package comment.
+	// worker pool (<= 1 runs the serial tick, the reference the sharded
+	// tick is tested against). Output is byte-identical at any value;
+	// see the package comment.
 	ScanWorkers int
 	// ScanRegions overrides how many grid-row bands the fleet is cut
 	// into (0 = 4x ScanWorkers, clamped to the grid's rows). More
@@ -74,22 +75,6 @@ func (c *Config) defaults() {
 		c.Receiver = ble.DefaultReceiver
 	}
 }
-
-// shardingDisabled routes every tick through the serial path regardless
-// of ScanWorkers. It exists so equivalence tests and recorded benchmarks
-// can pin the historical execution order through unmodified simulation
-// code (the scan-tick analogue of device.SetGridIndexing).
-var shardingDisabled atomic.Bool
-
-// SetRegionSharding toggles the region-sharded scan tick for planes with
-// ScanWorkers > 1 (testing/benchmark escape hatch; the default is
-// enabled). It returns the previous setting so tests can restore it.
-func SetRegionSharding(enabled bool) (was bool) {
-	return !shardingDisabled.Swap(!enabled)
-}
-
-// RegionSharding reports whether the region-sharded tick is enabled.
-func RegionSharding() bool { return !shardingDisabled.Load() }
 
 // scanScratch is one worker's private hot-path state: the candidate
 // index buffer, the reusable reseedable RNG stream, and a fleet query
@@ -259,7 +244,7 @@ func (p *Plane) ScanOnce(now time.Time) {
 	// One formatting of the scan instant serves every tag this tick; it
 	// is the per-tick suffix of each tag's RNG stream name.
 	p.tickKey = now.UTC().AppendFormat(p.tickKey[:0], time.RFC3339Nano)
-	if p.pool != nil && !shardingDisabled.Load() {
+	if p.pool != nil {
 		p.scanSharded(now)
 		return
 	}

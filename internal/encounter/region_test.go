@@ -101,23 +101,3 @@ func TestRegionShardedMatchesSerial(t *testing.T) {
 		got.equal(t, label, serial)
 	}
 }
-
-// TestSetRegionSharding checks the escape hatch: with sharding disabled a
-// multi-worker plane routes every tick through the serial path (trivially
-// identical output), and the previous setting round-trips.
-func TestSetRegionSharding(t *testing.T) {
-	if !RegionSharding() {
-		t.Fatal("region sharding should default to enabled")
-	}
-	was := SetRegionSharding(false)
-	if !was {
-		t.Error("SetRegionSharding(false) should report it was enabled")
-	}
-	defer SetRegionSharding(was)
-	if RegionSharding() {
-		t.Fatal("RegionSharding() still true after disabling")
-	}
-	got := regionRun(Config{ScanWorkers: 8})
-	serial := regionRun(Config{})
-	got.equal(t, "sharding disabled", serial)
-}

@@ -187,26 +187,6 @@ func (c *Campaign) Crawls(v trace.Vendor) []trace.CrawlRecord { return c.filtere
 // computations fanning out on the worker pool.
 func (c *Campaign) Index(v trace.Vendor) *analysis.Index { return c.indexes[v] }
 
-// accuracy evaluates one accuracy point for a vendor over the cached
-// index — or over the raw crawl log when the index-backed pipeline is
-// disabled (analysis.SetIndexedAnalysis), which reproduces the historical
-// per-figure rescan byte for byte.
-func (c *Campaign) accuracy(v trace.Vendor, bucket time.Duration, radiusM float64, from, to time.Time) analysis.AccuracyResult {
-	if !analysis.IndexedAnalysis() {
-		return analysis.Accuracy(c.Truth, c.Crawls(v), bucket, radiusM, from, to)
-	}
-	return c.Index(v).Accuracy(bucket, radiusM, from, to)
-}
-
-// dailyAccuracyByClass is the classified-daily counterpart of accuracy,
-// honoring the same escape hatch.
-func (c *Campaign) dailyAccuracyByClass(v trace.Vendor, bucket time.Duration, radiusM float64, classify analysis.BucketClassifier, minBuckets int) map[string][]float64 {
-	if !analysis.IndexedAnalysis() {
-		return analysis.DailyAccuracyByClass(c.Truth, c.Crawls(v), bucket, radiusM, c.From, c.To, classify, minBuckets)
-	}
-	return c.Index(v).DailyAccuracyByClass(bucket, radiusM, c.From, c.To, classify, minBuckets)
-}
-
 // Vendors lists the three analysis ecosystems in figure order — the
 // canonical trace.AnalysisVendors, shared with the streaming campaign
 // accumulator so the two paths can never drift on the vendor set.

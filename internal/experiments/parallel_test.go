@@ -1,10 +1,11 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 
-	"tagsim/internal/analysis"
 	"tagsim/internal/trace"
 )
 
@@ -65,21 +66,21 @@ func renderWildFigures(c *Campaign) string {
 	return b.String()
 }
 
-// TestFigurePipelineIndexEquivalence is the PR's acceptance gate: every
-// reproduced table and figure must render byte-identically whether the
-// analysis plane runs the one-time columnar index or the historical
-// per-figure rescans (analysis.SetIndexedAnalysis escape hatch).
+// wildFiguresSHA256 is the SHA-256 of renderWildFigures over
+// tinyOpts(47, 0), recorded while the per-figure scan implementations
+// were still selectable in production and rendered these exact bytes.
+const wildFiguresSHA256 = "113742088a5ff872a41a22551f96a803605dc6fe1aad694b866757a57ac184e0"
+
+// TestFigurePipelineIndexEquivalence pins every reproduced table and
+// figure to the bytes the historical per-figure rescans produced, so the
+// index-backed analysis plane stays equivalent to them.
 func TestFigurePipelineIndexEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign experiments are slow")
 	}
-	c := NewCampaign(tinyOpts(47, 0))
-	indexed := renderWildFigures(c)
-	was := analysis.SetIndexedAnalysis(false)
-	defer analysis.SetIndexedAnalysis(was)
-	legacy := renderWildFigures(c)
-	if indexed != legacy {
-		t.Errorf("figure pipeline diverged between indexed and scan analysis:\nindexed:\n%s\nscan:\n%s", indexed, legacy)
+	out := renderWildFigures(NewCampaign(tinyOpts(47, 0)))
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != wildFiguresSHA256 {
+		t.Errorf("figure pipeline output changed: sha256 %s, want %s\n%s", got, wildFiguresSHA256, out)
 	}
 }
 

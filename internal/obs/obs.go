@@ -36,7 +36,7 @@ import (
 
 // disabled gates every metric update. Default off: metrics are always
 // on, and SetEnabled(false) is the benchmark escape hatch mirroring
-// store.SetLockedReads and cloud.SetHotCache.
+// cloud.SetHotCache.
 var disabled atomic.Bool
 
 // SetEnabled toggles metric collection (default on). Disabled, every

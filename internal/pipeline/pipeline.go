@@ -78,9 +78,8 @@ func init() {
 // streamingDisabled routes experiments.NewCampaign through the
 // historical batch path (materialize every dataset, then analyze)
 // instead of the streaming pipeline. It is the batch-path escape hatch
-// mirroring device.NearBrute and analysis.SetIndexedAnalysis: the
-// default is streaming, and equivalence tests pin the two paths
-// byte-identical.
+// mirroring device.NearBrute: the default is streaming, and
+// equivalence tests pin the two paths byte-identical.
 var streamingDisabled atomic.Bool
 
 // SetStreaming toggles the streaming campaign pipeline (the default is

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"tagsim/internal/device"
 	"tagsim/internal/geo"
 	"tagsim/internal/trace"
 )
@@ -132,36 +131,6 @@ func TestWildScanWorkerDeterminism(t *testing.T) {
 				if !equalCountry(a, b) {
 					t.Errorf("scan-workers=%d: country %s diverged from the serial scan (fixes %d vs %d, apple now %d vs %d)",
 						scanWorkers, a.Spec.Code, len(a.Dataset.GroundTruth), len(b.Dataset.GroundTruth), a.AppleNow, b.AppleNow)
-				}
-			}
-		}
-	}
-}
-
-// TestWildGridEquivalence is the spatial-index refactor's headline
-// property: a full campaign on the grid-indexed, allocation-lean hot
-// path deep-equals the brute-force linear-scan path — the seed
-// implementation's candidate search — for multiple seeds and worker
-// counts. Combined with TestWildParallelDeterminism this pins the
-// refactor to byte-identical output. Runs under -race in CI.
-func TestWildGridEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wild campaign is slow")
-	}
-	for _, seed := range []int64{31, 77} {
-		for _, workers := range []int{1, 0} {
-			was := device.SetGridIndexing(false)
-			brute := RunWild(tinyCampaign(seed, workers))
-			device.SetGridIndexing(true)
-			grid := RunWild(tinyCampaign(seed, workers))
-			device.SetGridIndexing(was)
-			if !equalWild(brute, grid) {
-				for i := range brute.Countries {
-					a, b := brute.Countries[i], grid.Countries[i]
-					if !equalCountry(a, b) {
-						t.Errorf("seed=%d workers=%d: country %s diverged between brute and grid paths (fixes %d vs %d, apple now %d vs %d)",
-							seed, workers, a.Spec.Code, len(a.Dataset.GroundTruth), len(b.Dataset.GroundTruth), a.AppleNow, b.AppleNow)
-					}
 				}
 			}
 		}

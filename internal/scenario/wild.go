@@ -67,7 +67,7 @@ type WildConfig struct {
 	// pool: the fleet's spatial grid is split into contiguous row bands
 	// and each tick's per-tag scans run on pooled workers, merging back
 	// deterministically (0 or 1 = the serial scan; output is
-	// byte-identical at any value — see encounter.SetRegionSharding).
+	// byte-identical at any value — see encounter.Config.ScanWorkers).
 	// This is within-world parallelism, orthogonal to Workers'
 	// across-world fan-out.
 	ScanWorkers int

@@ -13,7 +13,6 @@ import (
 
 	"tagsim/internal/cloud"
 	"tagsim/internal/geo"
-	"tagsim/internal/store"
 	"tagsim/internal/trace"
 )
 
@@ -60,25 +59,14 @@ func normalizeEquivBody(target, body string) string {
 	return body
 }
 
-// readModes are the three read-path configurations the escape hatches
-// select between; responses must not depend on the choice.
+// readModes are the read-path configurations the hot-tag cache switch
+// selects between; responses must not depend on the choice.
 var readModes = []struct {
 	name   string
-	locked bool
 	cached bool
 }{
-	{"locked", true, false},
-	{"lockfree", false, false},
-	{"lockfree+cache", false, true},
-}
-
-func setReadMode(locked, cached bool) (func(), error) {
-	wasLocked := store.SetLockedReads(locked)
-	wasCached := cloud.SetHotCache(cached)
-	return func() {
-		store.SetLockedReads(wasLocked)
-		cloud.SetHotCache(wasCached)
-	}, nil
+	{"lockfree", false},
+	{"lockfree+cache", true},
 }
 
 func equivServices(shards int) map[trace.Vendor]*cloud.Service {
@@ -99,9 +87,9 @@ func equivServices(shards int) map[trace.Vendor]*cloud.Service {
 	return map[trace.Vendor]*cloud.Service{trace.VendorApple: apple, trace.VendorSamsung: samsung}
 }
 
-// TestReadPathEquivalence is the escape-hatch acceptance property: the
-// locked, lock-free, and lock-free+cached read paths produce
-// byte-identical responses (status, body, content type) for every
+// TestReadPathEquivalence is the hot-tag cache's acceptance property:
+// the lock-free and lock-free+cached read paths produce byte-identical
+// responses (status, body, content type) for every
 // /v1/* request, at several shard counts, with live ingest racing the
 // reads in between the comparison rounds. Run under -race in CI.
 func TestReadPathEquivalence(t *testing.T) {
@@ -153,7 +141,7 @@ func TestReadPathEquivalence(t *testing.T) {
 
 			got := map[string][]string{}
 			for _, mode := range readModes {
-				restore, _ := setReadMode(mode.locked, mode.cached)
+				wasCached := cloud.SetHotCache(mode.cached)
 				for _, target := range equivRequests {
 					rec := httptest.NewRecorder()
 					srv.ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
@@ -161,7 +149,7 @@ func TestReadPathEquivalence(t *testing.T) {
 						normalizeEquivBody(target, rec.Body.String()))
 					got[target] = append(got[target], key)
 				}
-				restore()
+				cloud.SetHotCache(wasCached)
 			}
 			for _, target := range equivRequests {
 				for m := 1; m < len(readModes); m++ {

@@ -12,16 +12,6 @@ import (
 	"tagsim/internal/trace"
 )
 
-// lockModes runs f once per read path, restoring the global toggle.
-func lockModes(t *testing.T, f func(t *testing.T, locked bool)) {
-	t.Helper()
-	for _, locked := range []bool{false, true} {
-		was := SetLockedReads(locked)
-		f(t, locked)
-		SetLockedReads(was)
-	}
-}
-
 // fillStore ingests a deterministic mixed sequence: rate-capped ingests
 // (some rejected), a restore batch, and a bare registration.
 func fillStore(s *Store, tags int) {
@@ -47,7 +37,7 @@ func fillStore(s *Store, tags int) {
 var base = time.Date(2022, 3, 7, 9, 0, 0, 0, time.UTC)
 
 // readAll captures every read-path answer for every tag: the
-// equivalence surface the locked and lock-free paths must agree on.
+// equivalence surface the lock-free path must agree with lockedReadAll on.
 func readAll(s *Store, tags []string) map[string]any {
 	out := map[string]any{}
 	for _, id := range tags {
@@ -62,9 +52,58 @@ func readAll(s *Store, tags []string) map[string]any {
 	return out
 }
 
+// lockedReadAll is readAll answered from each tag's mutable state cell
+// under the shard mutex rather than from the published epoch view. It
+// is the oracle the lock-free read path is checked against.
+func lockedReadAll(s *Store, tags []string) map[string]any {
+	out := map[string]any{}
+	for _, id := range tags {
+		sh := s.shardFor(id)
+		sh.mu.Lock()
+		st := sh.getLocked(id)
+		var (
+			pos geo.LatLon
+			at  time.Time
+			ok  bool
+		)
+		if st != nil && st.hasLast {
+			pos, at, ok = st.lastPos, st.lastAt, true
+		}
+		hist := func(limit int) []trace.Report {
+			if st == nil {
+				return nil
+			}
+			return s.visibleHistory(id, st.persisted, st.hist, st.histAt, st.lastAt, limit, nil)
+		}
+		out["last/"+id] = fmt.Sprint(pos, at, ok)
+		out["known/"+id] = st != nil
+		out["hist/"+id] = hist(-1)
+		for _, limit := range []int{0, 1, 3, 1000} {
+			out[fmt.Sprintf("recent%d/%s", limit, id)] = hist(limit)
+		}
+		sh.mu.Unlock()
+	}
+	return out
+}
+
+// sameViews reports every key on which two readAll-style captures
+// disagree.
+func sameViews(t *testing.T, label string, got, want map[string]any) {
+	t.Helper()
+	if reflect.DeepEqual(got, want) {
+		return
+	}
+	t.Errorf("%s: read answers disagree", label)
+	for k, v := range want {
+		if !reflect.DeepEqual(v, got[k]) {
+			t.Errorf("  %s: got %v, want %v", k, got[k], v)
+		}
+	}
+}
+
 // TestLockedReadEquivalence: the lock-free read path answers every
-// query identically to the historical locked path, across shard counts,
-// after a mixed ingest/restore/register sequence.
+// query identically to the locked oracle (lockedReadAll), across shard
+// counts, after a mixed ingest/restore/register sequence.
 func TestLockedReadEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
 		s := New(shards)
@@ -73,61 +112,51 @@ func TestLockedReadEquivalence(t *testing.T) {
 		s.HistoryLimit = 5
 		fillStore(s, 40)
 		tags := append(s.TagIDs(), "never-seen")
-
-		var views []map[string]any
-		lockModes(t, func(t *testing.T, locked bool) {
-			views = append(views, readAll(s, tags))
-		})
-		if !reflect.DeepEqual(views[0], views[1]) {
-			t.Errorf("shards=%d: lock-free and locked reads disagree", shards)
-			for k, v := range views[0] {
-				if !reflect.DeepEqual(v, views[1][k]) {
-					t.Errorf("  %s: lockfree=%v locked=%v", k, v, views[1][k])
-				}
-			}
-		}
+		sameViews(t, fmt.Sprintf("shards=%d lock-free vs locked", shards), readAll(s, tags), lockedReadAll(s, tags))
 	}
 }
 
 // TestRecentHistoryLimits pins the pushdown semantics against the full
-// History copy, through the ring-wrap boundary.
+// History copy, through the ring-wrap boundary, and the lock-free
+// answers against the locked oracle at every step.
 func TestRecentHistoryLimits(t *testing.T) {
-	lockModes(t, func(t *testing.T, locked bool) {
-		s := New(4)
-		s.KeepHistory = true
-		s.HistoryLimit = 5
-		id := "ring-tag"
-		if got := s.RecentHistory(id, 3); got != nil {
-			t.Errorf("locked=%v: unknown tag history = %v, want nil", locked, got)
-		}
-		for k := 0; k < 9; k++ { // wraps the 5-ring almost twice
-			at := base.Add(time.Duration(k) * time.Minute)
-			s.Ingest(trace.Report{T: at, TagID: id, Vendor: trace.VendorApple,
-				Pos: geo.LatLon{Lat: float64(k)}})
-			full := s.History(id)
-			for _, limit := range []int{0, 1, 2, 5, 7, -1} {
-				got := s.RecentHistory(id, limit)
-				want := full
-				if limit >= 0 && limit < len(full) {
-					want = full[len(full)-limit:]
-				}
-				if len(got) != len(want) {
-					t.Fatalf("locked=%v k=%d limit=%d: %d reports, want %d", locked, k, limit, len(got), len(want))
-				}
-				for i := range got {
-					if !got[i].T.Equal(want[i].T) || got[i].Pos != want[i].Pos {
-						t.Fatalf("locked=%v k=%d limit=%d: report %d = %+v, want %+v", locked, k, limit, i, got[i], want[i])
-					}
+	s := New(4)
+	s.KeepHistory = true
+	s.HistoryLimit = 5
+	id := "ring-tag"
+	ids := []string{id}
+	if got := s.RecentHistory(id, 3); got != nil {
+		t.Errorf("unknown tag history = %v, want nil", got)
+	}
+	sameViews(t, "unknown tag", readAll(s, ids), lockedReadAll(s, ids))
+	for k := 0; k < 9; k++ { // wraps the 5-ring almost twice
+		at := base.Add(time.Duration(k) * time.Minute)
+		s.Ingest(trace.Report{T: at, TagID: id, Vendor: trace.VendorApple,
+			Pos: geo.LatLon{Lat: float64(k)}})
+		full := s.History(id)
+		for _, limit := range []int{0, 1, 2, 5, 7, -1} {
+			got := s.RecentHistory(id, limit)
+			want := full
+			if limit >= 0 && limit < len(full) {
+				want = full[len(full)-limit:]
+			}
+			if len(got) != len(want) {
+				t.Fatalf("k=%d limit=%d: %d reports, want %d", k, limit, len(got), len(want))
+			}
+			for i := range got {
+				if !got[i].T.Equal(want[i].T) || got[i].Pos != want[i].Pos {
+					t.Fatalf("k=%d limit=%d: report %d = %+v, want %+v", k, limit, i, got[i], want[i])
 				}
 			}
-			// limit 0 with history present: empty but non-nil, so the
-			// query layer can keep "no reports retained" apart from
-			// "tag has no history at all".
-			if got := s.RecentHistory(id, 0); got == nil {
-				t.Fatalf("locked=%v: limit 0 with history = nil, want empty", locked)
-			}
 		}
-	})
+		// limit 0 with history present: empty but non-nil, so the
+		// query layer can keep "no reports retained" apart from
+		// "tag has no history at all".
+		if got := s.RecentHistory(id, 0); got == nil {
+			t.Fatalf("k=%d: limit 0 with history = nil, want empty", k)
+		}
+		sameViews(t, fmt.Sprintf("k=%d", k), readAll(s, ids), lockedReadAll(s, ids))
+	}
 }
 
 // TestTagEpochBumps: every observable state change moves the shard
@@ -255,13 +284,7 @@ func TestLockFreeReadsRaced(t *testing.T) {
 			t.Errorf("shards=%d: %s", shards, e)
 		}
 
-		// Quiesced: the two read paths must agree exactly.
-		var views []map[string]any
-		lockModes(t, func(t *testing.T, locked bool) {
-			views = append(views, readAll(s, tags))
-		})
-		if !reflect.DeepEqual(views[0], views[1]) {
-			t.Errorf("shards=%d: read paths disagree after the race", shards)
-		}
+		// Quiesced: the lock-free answers must equal the locked oracle.
+		sameViews(t, fmt.Sprintf("shards=%d after the race", shards), readAll(s, tags), lockedReadAll(s, tags))
 	}
 }

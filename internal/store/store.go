@@ -27,9 +27,9 @@
 // locks. A tag's views are published in write order, so a reader can
 // never observe last-seen time move backward. Each shard also carries
 // an epoch counter bumped on every state change; the query plane's
-// hot-tag cache validates entries against it. SetLockedReads is the
-// escape hatch back to the historical mutex-guarded reads
-// (equivalence-tested byte-identical, raced in CI).
+// hot-tag cache validates entries against it. The tests keep a
+// mutex-guarded reader as the oracle the lock-free path is compared
+// against (byte-identical, raced in CI).
 //
 // Determinism: acceptance of a report depends only on that tag's prior
 // state, never on shard count or on other tags, so any single-writer
@@ -51,18 +51,6 @@ import (
 // to spread an 8-16 client load without bloating the tiny per-world
 // stores the simulation creates.
 const DefaultShards = 8
-
-// lockedReads disables the epoch-view read path, routing LastSeen /
-// Known / History / RecentHistory back through the shard mutexes. It is
-// the testing/benchmark escape hatch mirroring pipeline.SetStreaming.
-var lockedReads atomic.Bool
-
-// SetLockedReads toggles the historical mutex-guarded read path
-// (default off: reads are lock-free). It returns the previous setting.
-func SetLockedReads(enabled bool) (was bool) { return lockedReads.Swap(enabled) }
-
-// LockedReads reports whether reads currently take the shard locks.
-func LockedReads() bool { return lockedReads.Load() }
 
 // Store is a sharded concurrent report store for one vendor cloud.
 //
@@ -434,14 +422,7 @@ func (s *Store) Restore(reports []trace.Report) {
 // ingest) — the distinction the query API uses between "no location
 // found" for a paired tag and a 404 for a tag that does not exist.
 func (s *Store) Known(tagID string) bool {
-	sh := s.shardFor(tagID)
-	if lockedReads.Load() {
-		sh.mu.Lock()
-		ok := sh.getLocked(tagID) != nil
-		sh.mu.Unlock()
-		return ok
-	}
-	return sh.lookup(tagID) != nil
+	return s.shardFor(tagID).lookup(tagID) != nil
 }
 
 // LastSeen returns the tag's last reported location and when it was
@@ -449,16 +430,7 @@ func (s *Store) Known(tagID string) bool {
 // The lock-free path serves the tag's latest published epoch view, so
 // two sequential reads can never see the last-seen time move backward.
 func (s *Store) LastSeen(tagID string) (pos geo.LatLon, at time.Time, ok bool) {
-	sh := s.shardFor(tagID)
-	if lockedReads.Load() {
-		sh.mu.Lock()
-		if st := sh.getLocked(tagID); st != nil && st.hasLast {
-			pos, at, ok = st.lastPos, st.lastAt, true
-		}
-		sh.mu.Unlock()
-		return pos, at, ok
-	}
-	if st := sh.lookup(tagID); st != nil {
+	if st := s.shardFor(tagID).lookup(tagID); st != nil {
 		if v := st.view.Load(); v.hasLast {
 			return v.lastPos, v.lastAt, true
 		}
@@ -502,17 +474,7 @@ func (s *Store) RecentHistory(tagID string, limit int) []trace.Report {
 // and any segment preads as spans on tr (nil tr traces nothing) — the
 // entry point the traced serve/cache read path threads through.
 func (s *Store) RecentHistoryTraced(tagID string, limit int, tr *otrace.Trace) []trace.Report {
-	sh := s.shardFor(tagID)
-	if lockedReads.Load() {
-		var out []trace.Report
-		sh.mu.Lock()
-		if st := sh.getLocked(tagID); st != nil {
-			out = s.visibleHistory(tagID, st.persisted, st.hist, st.histAt, st.lastAt, limit, tr)
-		}
-		sh.mu.Unlock()
-		return out
-	}
-	if st := sh.lookup(tagID); st != nil {
+	if st := s.shardFor(tagID).lookup(tagID); st != nil {
 		v := st.view.Load()
 		return s.visibleHistory(tagID, v.persisted, v.hist, v.histAt, v.lastAt, limit, tr)
 	}
@@ -522,9 +484,8 @@ func (s *Store) RecentHistoryTraced(tagID string, limit int, tr *otrace.Trace) [
 // visibleHistory assembles the newest-limit reports the Retention
 // policy leaves visible for one tag, oldest-first: ring rows as far as
 // they reach, persisted (segment) rows for the remainder. It is the
-// single read path shared by the lock-free views, the locked escape
-// hatch, and Snapshot — in-memory stores (persisted 0) reduce to the
-// historical ringCopy.
+// single read path shared by the lock-free views and Snapshot —
+// in-memory stores (persisted 0) reduce to the historical ringCopy.
 func (s *Store) visibleHistory(tagID string, persisted uint64, hist []trace.Report, histAt int, lastAt time.Time, limit int, tr *otrace.Trace) []trace.Report {
 	total := int(persisted) + len(hist)
 	if total == 0 {

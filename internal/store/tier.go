@@ -48,20 +48,6 @@ import (
 // the rows; extra disk copies are above its persisted bound and
 // filtered out by the seq range) or the new view (rows now below the
 // bound and on disk) — never a gap, with no read-side locks or retries.
-var tieredEnabled atomic.Bool
-
-func init() { tieredEnabled.Store(true) }
-
-// SetTiered toggles the tiered persistence layer (default on). When
-// off, Open ignores its directory and returns a plain in-memory store —
-// the escape hatch back to the historical engine, mirroring
-// SetLockedReads. It returns the previous setting. Stores already open
-// keep their mode.
-func SetTiered(enabled bool) (was bool) { return tieredEnabled.Swap(enabled) }
-
-// TieredEnabled reports whether Open builds tiered stores.
-func TieredEnabled() bool { return tieredEnabled.Load() }
-
 // Tiering configures a tiered store. The policy fields mirror the Store
 // fields of the same names; they live here too because Open must know
 // them before WAL replay, not after.
@@ -246,8 +232,7 @@ func (s *Store) TierStats() TierStats {
 }
 
 // Open creates or recovers a tiered store in cfg.Dir with the given
-// shard count. With no directory — or with SetTiered(false) in effect —
-// it returns a plain in-memory store carrying the same policy, which is
+// shard count. With no directory it returns a plain in-memory store carrying the same policy, which is
 // what makes the tiered engine a drop-in layer rather than a fork.
 func Open(nShards int, cfg Tiering) (*Store, error) {
 	if cfg.MemtableBytes <= 0 {
@@ -266,7 +251,7 @@ func Open(nShards int, cfg Tiering) (*Store, error) {
 	s.MinUpdateInterval = cfg.MinUpdateInterval
 	s.KeepHistory = cfg.KeepHistory
 	s.Retention = cfg.Retention
-	if cfg.Dir == "" || !TieredEnabled() {
+	if cfg.Dir == "" {
 		return s, nil
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"os"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -74,18 +73,9 @@ func TestTieredEquivalence(t *testing.T) {
 			t.Fatalf("shards=%d: thresholds never tripped (flushes=%d segments=%d) — test is not exercising disk",
 				shards, st.Flushes, st.Segments)
 		}
-		lockModes(t, func(t *testing.T, locked bool) {
-			memViews := readAll(mem, tags)
-			tierViews := readAll(s, tags)
-			if !reflect.DeepEqual(tierViews, memViews) {
-				t.Errorf("shards=%d locked=%v: tiered reads diverge from in-memory", shards, locked)
-				for k, v := range memViews {
-					if !reflect.DeepEqual(v, tierViews[k]) {
-						t.Errorf("  %s: mem=%v tiered=%v", k, v, tierViews[k])
-					}
-				}
-			}
-		})
+		tierViews := readAll(s, tags)
+		sameViews(t, fmt.Sprintf("shards=%d tiered vs in-memory", shards), tierViews, readAll(mem, tags))
+		sameViews(t, fmt.Sprintf("shards=%d tiered lock-free vs locked", shards), tierViews, lockedReadAll(s, tags))
 		if got := s.Snapshot(); !reflect.DeepEqual(got, want) {
 			t.Errorf("shards=%d: tiered snapshot diverged from in-memory reference", shards)
 		}
@@ -112,11 +102,9 @@ func TestTieredEquivalenceMixed(t *testing.T) {
 		fillStore(s, 40)
 
 		tags := append(mem.TagIDs(), "never-seen")
-		lockModes(t, func(t *testing.T, locked bool) {
-			if !reflect.DeepEqual(readAll(s, tags), readAll(mem, tags)) {
-				t.Errorf("shards=%d locked=%v: tiered keep-last reads diverge from HistoryLimit ring", shards, locked)
-			}
-		})
+		tierViews := readAll(s, tags)
+		sameViews(t, fmt.Sprintf("shards=%d tiered keep-last vs HistoryLimit ring", shards), tierViews, readAll(mem, tags))
+		sameViews(t, fmt.Sprintf("shards=%d tiered lock-free vs locked", shards), tierViews, lockedReadAll(s, tags))
 		if got, want := s.Snapshot(), mem.Snapshot(); !reflect.DeepEqual(got, want) {
 			t.Errorf("shards=%d: snapshots diverge", shards)
 		}
@@ -127,69 +115,50 @@ func TestTieredEquivalenceMixed(t *testing.T) {
 // TestTieredRetentionWindowEquivalence: a keep-window policy trims the
 // same rows whether the history lives in a ring or on disk.
 func TestTieredRetentionWindowEquivalence(t *testing.T) {
-	ret := Retention{KeepWindow: 45 * time.Minute}
 	reports := stream(5, 1200)
+	cfg := tieredCfg(t.TempDir())
+	cfg.MemtableBytes = 4 << 10
+	cfg.Retention = Retention{KeepWindow: 45 * time.Minute}
 
-	mem := newCloudlike(4)
-	mem.Retention = ret
+	// The in-memory reference is the same config without a directory.
+	memCfg := cfg
+	memCfg.Dir = ""
+	mem, err := Open(4, memCfg)
+	if err != nil {
+		t.Fatalf("Open without a directory: %v", err)
+	}
+	if mem.Tiered() {
+		t.Fatal("Open without a directory must return an in-memory store")
+	}
+	if st := mem.TierStats(); st.Enabled {
+		t.Error("in-memory store reports Enabled tier stats")
+	}
 	for _, r := range reports {
 		mem.Ingest(r)
 	}
 
-	cfg := tieredCfg(t.TempDir())
-	cfg.MemtableBytes = 4 << 10
-	cfg.Retention = ret
 	s := openTiered(t, 4, cfg)
 	for _, r := range reports {
 		s.Ingest(r)
 	}
 
 	tags := append(mem.TagIDs(), "never-seen")
-	lockModes(t, func(t *testing.T, locked bool) {
-		if !reflect.DeepEqual(readAll(s, tags), readAll(mem, tags)) {
-			t.Errorf("locked=%v: keep-window reads diverge between tiered and in-memory", locked)
-		}
-	})
+	tierViews := readAll(s, tags)
+	sameViews(t, "keep-window tiered vs in-memory", tierViews, readAll(mem, tags))
+	sameViews(t, "keep-window tiered lock-free vs locked", tierViews, lockedReadAll(s, tags))
 	if got, want := s.Snapshot(), mem.Snapshot(); !reflect.DeepEqual(got, want) {
 		t.Error("keep-window snapshots diverge")
 	}
 	closeStore(t, s)
-}
-
-// TestSetTieredEscapeHatch: with the global toggle off, Open ignores
-// its directory and hands back the historical in-memory engine.
-func TestSetTieredEscapeHatch(t *testing.T) {
-	was := SetTiered(false)
-	defer SetTiered(was)
-	dir := t.TempDir()
-	s, err := Open(4, tieredCfg(dir))
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	if s.Tiered() {
-		t.Fatal("SetTiered(false): Open must return an in-memory store")
-	}
-	if st := s.TierStats(); st.Enabled {
-		t.Error("in-memory store reports Enabled tier stats")
-	}
-	if !s.Ingest(report(t0, "tag", pos)) || len(s.History("tag")) != 1 {
-		t.Error("escape-hatch store must still ingest and serve")
-	}
-	if err := s.Flush(); err != nil {
+	// Without a tier, the durability calls are no-ops.
+	if err := mem.Flush(); err != nil {
 		t.Errorf("Flush on in-memory store: %v", err)
 	}
-	if err := s.Sync(); err != nil {
+	if err := mem.Sync(); err != nil {
 		t.Errorf("Sync on in-memory store: %v", err)
 	}
-	if err := s.Close(); err != nil {
+	if err := mem.Close(); err != nil {
 		t.Errorf("Close on in-memory store: %v", err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Errorf("escape-hatch store touched its directory: %v", entries)
 	}
 }
 
@@ -403,11 +372,9 @@ func TestTieredReadsRacedUnderFlushAndCompaction(t *testing.T) {
 		if got, want := s.Snapshot(), mem.Snapshot(); !reflect.DeepEqual(got, want) {
 			t.Errorf("shards=%d: tiered snapshot diverged from in-memory after the race", shards)
 		}
-		lockModes(t, func(t *testing.T, locked bool) {
-			if !reflect.DeepEqual(readAll(s, tags), readAll(mem, tags)) {
-				t.Errorf("shards=%d locked=%v: reads diverge after the race", shards, locked)
-			}
-		})
+		tierViews := readAll(s, tags)
+		sameViews(t, fmt.Sprintf("shards=%d after the race, tiered vs in-memory", shards), tierViews, readAll(mem, tags))
+		sameViews(t, fmt.Sprintf("shards=%d after the race, lock-free vs locked", shards), tierViews, lockedReadAll(s, tags))
 		closeStore(t, s)
 	}
 }

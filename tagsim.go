@@ -202,10 +202,6 @@ var (
 	SpeedClassifier    = analysis.SpeedClassifier
 	PeriodClassifier   = analysis.PeriodClassifier
 	WeekPartClassifier = analysis.WeekPartClassifier
-	// SetIndexedAnalysis toggles the index-backed analysis plane
-	// (testing/benchmark escape hatch mirroring device.SetGridIndexing);
-	// disabled, the exported metrics run the historical per-call scans.
-	SetIndexedAnalysis = analysis.SetIndexedAnalysis
 	// SetResidentTruth toggles whether campaign ground truth stays
 	// resident (default) or spills to disk-backed columnar logs read
 	// through a bounded cursor — the continental-scale memory knob
@@ -324,18 +320,9 @@ var (
 	DefaultLoadMix = load.DefaultMix
 	// NewHotTagCache builds a hot-tag cache over per-vendor clouds.
 	NewHotTagCache = cloud.NewHotCache
-	// SetLockedReads reverts the store read path to the historical
-	// mutex-guarded implementation (escape hatch; default lock-free).
-	// It returns the previous setting.
-	SetLockedReads = store.SetLockedReads
 	// SetHotCache toggles the query plane's hot-tag caching (default
 	// on). It returns the previous setting.
 	SetHotCache = cloud.SetHotCache
-	// SetTieredStores toggles the persistent storage engine behind
-	// OpenReportStore (default on; off makes Open return in-memory
-	// stores — the escape hatch mirroring SetLockedReads). It returns
-	// the previous setting.
-	SetTieredStores = store.SetTiered
 	// SetMetrics toggles every obs counter, gauge, and histogram update
 	// process-wide (default on; the always-on metrics escape hatch). It
 	// returns the previous setting.
