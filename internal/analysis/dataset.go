@@ -6,6 +6,9 @@
 package analysis
 
 import (
+	"iter"
+	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -70,6 +73,16 @@ func (ti *TruthIndex) Len() int {
 		return ti.disk.store.Total()
 	}
 	return len(ti.fixes)
+}
+
+// All yields every fix in time order. A disk-backed index decodes one
+// frame at a time into a buffer of its own, so iterating never holds
+// more than a frame and does not disturb the At/HasCoverage window.
+func (ti *TruthIndex) All() iter.Seq[trace.GroundTruth] {
+	if ti.disk != nil {
+		return ti.disk.all
+	}
+	return slices.Values(ti.fixes)
 }
 
 // Span returns the time range covered by the fixes.
@@ -267,10 +280,19 @@ func DetectHomes(fixes []trace.GroundTruth, clusterRadiusM float64) []geo.LatLon
 }
 
 // NearAnyHome reports whether pos lies within radiusM of any home — the
-// per-record predicate behind FilterNearHomes, exported so streaming
-// paths can filter without materializing slices.
+// per-record predicate behind FilterNearHomes and FilterCrawlsNearHomes,
+// exported so streaming paths can filter without materializing slices.
+//
+// A great-circle distance is at least R·|Δlat|, so a home whose latitude
+// differs from pos's by more than (radiusM + 1 m)/R is skipped without a
+// haversine. The 1 m of slack dwarfs the floating-point error of
+// geo.Distance, so every decision equals the plain all-homes check.
 func NearAnyHome(pos geo.LatLon, homes []geo.LatLon, radiusM float64) bool {
+	bandDeg := (radiusM + 1) / geo.EarthRadiusMeters * 180 / math.Pi
 	for _, h := range homes {
+		if math.Abs(pos.Lat-h.Lat) > bandDeg {
+			continue
+		}
 		if geo.Distance(pos, h) <= radiusM {
 			return true
 		}
@@ -311,11 +333,6 @@ func FilterCrawlsNearHomes(records []trace.CrawlRecord, homes []geo.LatLon, radi
 		return records
 	}
 	return trace.Filter(records, func(r trace.CrawlRecord) bool {
-		for _, h := range homes {
-			if geo.Distance(r.Pos, h) <= radiusM {
-				return false
-			}
-		}
-		return true
+		return !NearAnyHome(r.Pos, homes, radiusM)
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"time"
 
+	"tagsim/internal/geo"
 	"tagsim/internal/hexgrid"
 	"tagsim/internal/trace"
 )
@@ -39,8 +40,9 @@ func HexVisits(fixes []trace.GroundTruth, res int, minDwell, maxGap time.Duratio
 		}
 		cur = nil
 	}
+	cells := cellMemo{res: res}
 	for _, f := range fixes {
-		cell := hexgrid.LatLonToCell(f.Pos, res)
+		cell := cells.of(f.Pos)
 		if cur != nil {
 			if cell == cur.Cell && f.T.Sub(cur.Leave) <= maxGap {
 				cur.Leave = f.T
@@ -52,6 +54,21 @@ func HexVisits(fixes []trace.GroundTruth, res int, minDwell, maxGap time.Duratio
 	}
 	flush()
 	return out
+}
+
+// cellMemo is hexgrid.LatLonToCell with a one-entry memo of the seam
+// canonicalization: it depends only on the face cell, and consecutive
+// fixes of a trace mostly share one, so it runs once per run of fixes.
+type cellMemo struct {
+	res        int
+	face, cell hexgrid.Cell
+}
+
+func (m *cellMemo) of(p geo.LatLon) hexgrid.Cell {
+	if face := hexgrid.FaceCell(p, m.res); face != m.face {
+		m.face, m.cell = face, hexgrid.Canonical(face)
+	}
+	return m.cell
 }
 
 // DistinctCells returns the unique visited cells in deterministic order.

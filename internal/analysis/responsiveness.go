@@ -1,6 +1,9 @@
 package analysis
 
 import (
+	"iter"
+	"slices"
+	"sort"
 	"time"
 
 	"tagsim/internal/geo"
@@ -24,12 +27,17 @@ func (e Episode) Duration() time.Duration { return e.End.Sub(e.Start) }
 // episode's anchor. Episodes shorter than minDwell are dropped (driving
 // past a place is not a stay).
 func Episodes(fixes []trace.GroundTruth, anchorRadiusM float64, minDwell time.Duration) []Episode {
+	return EpisodesOf(slices.Values(fixes), anchorRadiusM, minDwell)
+}
+
+// EpisodesOf is Episodes over a fix sequence, such as TruthIndex.All.
+func EpisodesOf(fixes iter.Seq[trace.GroundTruth], anchorRadiusM float64, minDwell time.Duration) []Episode {
 	if anchorRadiusM <= 0 {
 		anchorRadiusM = 25
 	}
 	var out []Episode
 	var cur *Episode
-	for _, f := range fixes {
+	for f := range fixes {
 		if cur != nil && geo.Distance(cur.Anchor, f.Pos) <= anchorRadiusM {
 			cur.End = f.T
 			continue
@@ -67,10 +75,10 @@ func FirstHitDelays(episodes []Episode, reports []trace.CrawlRecord, radiusM flo
 	for _, ep := range episodes {
 		hd := HitDelay{Episode: ep}
 		deadline := ep.End.Add(maxLag)
-		for _, r := range distinct {
-			if r.ReportedAt.Before(ep.Start) {
-				continue
-			}
+		// distinct is sorted by ReportedAt: seek the episode's first
+		// report instead of skipping the ones before it.
+		first := sort.Search(len(distinct), func(i int) bool { return !distinct[i].ReportedAt.Before(ep.Start) })
+		for _, r := range distinct[first:] {
 			if r.ReportedAt.After(deadline) {
 				break
 			}

@@ -11,7 +11,9 @@ import (
 // The per-call scans below are the test oracles of the columnar Index
 // (mirroring device.NearBrute): each query re-dedups the crawl log and
 // walks it bucket by bucket, and index_test.go checks every Index
-// metric against them.
+// metric against them. The plain forms of FirstHitDelays, NearAnyHome
+// and HexVisits at the end are the oracles of their fast paths
+// (oracle_prop_test.go).
 
 // accuracyScan is the reference implementation of Index.Accuracy.
 func accuracyScan(truth *TruthIndex, reports []trace.CrawlRecord, bucket time.Duration, radiusM float64, from, to time.Time) AccuracyResult {
@@ -150,5 +152,69 @@ func cellAccuracyScan(truth *TruthIndex, reports []trace.CrawlRecord, visits []H
 			out[cell] = acc.Pct()
 		}
 	}
+	return out
+}
+
+// firstHitDelaysScan is the reference implementation of FirstHitDelays:
+// every episode scans the distinct reports from the start, skipping
+// those before the episode instead of seeking past them.
+func firstHitDelaysScan(episodes []Episode, reports []trace.CrawlRecord, radiusM float64, maxLag time.Duration) []HitDelay {
+	distinct := distinctByReportTime(reports)
+	out := make([]HitDelay, 0, len(episodes))
+	for _, ep := range episodes {
+		hd := HitDelay{Episode: ep}
+		deadline := ep.End.Add(maxLag)
+		for _, r := range distinct {
+			if r.ReportedAt.Before(ep.Start) {
+				continue
+			}
+			if r.ReportedAt.After(deadline) {
+				break
+			}
+			if geo.Distance(r.Pos, ep.Anchor) <= radiusM {
+				hd.Delay = r.ReportedAt.Sub(ep.Start)
+				hd.Found = true
+				break
+			}
+		}
+		out = append(out, hd)
+	}
+	return out
+}
+
+// nearAnyHomeScan is the reference implementation of NearAnyHome: a
+// haversine against every home, with no latitude-band cull.
+func nearAnyHomeScan(pos geo.LatLon, homes []geo.LatLon, radiusM float64) bool {
+	for _, h := range homes {
+		if geo.Distance(pos, h) <= radiusM {
+			return true
+		}
+	}
+	return false
+}
+
+// hexVisitsScan is the reference implementation of HexVisits: every fix
+// is hashed with a full hexgrid.LatLonToCell, with no seam memo.
+func hexVisitsScan(fixes []trace.GroundTruth, res int, minDwell, maxGap time.Duration) []HexVisit {
+	var out []HexVisit
+	var cur *HexVisit
+	flush := func() {
+		if cur != nil && cur.Duration() >= minDwell {
+			out = append(out, *cur)
+		}
+		cur = nil
+	}
+	for _, f := range fixes {
+		cell := hexgrid.LatLonToCell(f.Pos, res)
+		if cur != nil {
+			if cell == cur.Cell && f.T.Sub(cur.Leave) <= maxGap {
+				cur.Leave = f.T
+				continue
+			}
+			flush()
+		}
+		cur = &HexVisit{Cell: cell, Enter: f.T, Leave: f.T}
+	}
+	flush()
 	return out
 }

@@ -19,8 +19,9 @@ var truthSpill atomic.Bool
 
 // SetResidentTruth toggles whether campaign accumulation keeps ground
 // truth resident (the default) or spills it to disk-backed columnar
-// logs read through a cursor (bounded memory; raw-fix consumers like
-// the headline episode picker and the hexagon figures see empty truth).
+// logs read through a cursor (bounded memory; the headline's episodes
+// walk the spilled log via TruthIndex.All, but the per-country raw-fix
+// consumers, the hexagon figures 6-7, see empty truth).
 // It returns the previous setting so callers can restore it.
 func SetResidentTruth(resident bool) (was bool) {
 	return !truthSpill.Swap(!resident)
@@ -186,6 +187,25 @@ func (dt *diskTruth) span() (from, to time.Time, ok bool) {
 	_, _, firstT, _ := dt.store.FrameMeta(0)
 	_, _, _, lastT := dt.store.FrameMeta(n - 1)
 	return time.Unix(0, firstT).UTC(), time.Unix(0, lastT).UTC(), true
+}
+
+// all yields every fix in store order, decoding frame by frame into a
+// buffer private to the iteration (ReadFrame is safe for concurrent use,
+// the shared window is not touched).
+func (dt *diskTruth) all(yield func(trace.GroundTruth) bool) {
+	var buf []trace.GroundTruth
+	for fi := 0; fi < dt.store.Frames(); fi++ {
+		var err error
+		buf, err = dt.store.ReadFrame(fi, buf)
+		if err != nil {
+			panic("analysis: truth store frame " + itoa(fi) + " unreadable: " + err.Error())
+		}
+		for _, f := range buf {
+			if !yield(f) {
+				return
+			}
+		}
+	}
 }
 
 // fixTimes streams every fix instant into one resident int64 column —

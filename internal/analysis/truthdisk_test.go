@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -60,7 +62,7 @@ func diskIndex(t *testing.T, fixes []trace.GroundTruth, flushEvery int) *analysi
 // TestTruthCursorEquivalence checks a disk-backed TruthIndex answers
 // every query class exactly as the resident index over the same fixes:
 // At on a dense sweep (plus jittered probes), HasCoverage windows,
-// AvgSpeedKmh, Len, and Span.
+// AvgSpeedKmh, Len, Span, and the All walk.
 func TestTruthCursorEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		n, flushEvery int
@@ -80,6 +82,9 @@ func TestTruthCursorEquivalence(t *testing.T) {
 			df, dt, dok := disk.Span()
 			if rok != dok || !rf.Equal(df) || !rt.Equal(dt) {
 				t.Fatalf("Span: resident (%v,%v,%v), disk (%v,%v,%v)", rf, rt, rok, df, dt, dok)
+			}
+			if got := slices.Collect(disk.All()); !reflect.DeepEqual(got, slices.Collect(res.All())) {
+				t.Fatalf("All: disk yielded %d fixes unlike the resident %d", len(got), res.Len())
 			}
 			if tc.n == 0 {
 				return

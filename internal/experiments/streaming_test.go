@@ -144,11 +144,13 @@ func withResidentTruth(t *testing.T, resident bool, fn func()) {
 }
 
 // renderSpillSafeFigures renders the wild-campaign artifacts that read
-// ground truth only through the TruthIndex/Index query surface (At,
-// coverage, speed) — everything except the raw-fix consumers (Figures
-// 6-7 and the headline episode picker, which need resident truth).
+// ground truth only through the TruthIndex/Index surface (At, coverage,
+// speed, and the time-ordered All walk behind the headline's episodes) —
+// everything except Figures 6-7, which read per-country raw fixes and
+// still need resident truth.
 func renderSpillSafeFigures(c *Campaign) string {
 	var b strings.Builder
+	b.WriteString(Headline(c).Render())
 	b.WriteString(Table1(c).Render())
 	for _, radius := range []float64{10, 25, 100} {
 		b.WriteString(Figure5Sweep(c, radius).Render())

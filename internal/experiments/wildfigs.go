@@ -357,9 +357,10 @@ func Headline(c *Campaign) *HeadlineResult {
 	res.Acc10Min100M = c.Index(trace.VendorCombined).Accuracy(10*time.Minute, 100, c.From, c.To).Pct()
 
 	// Backtracking: place episodes (>=5 min within 25 m), first accurate
-	// (10 m) report within one hour.
-	kept, _ := analysis.FilterNearHomes(c.Merged.GroundTruth, c.Homes, 300)
-	eps := analysis.Episodes(kept, 25, 5*time.Minute)
+	// (10 m) report within one hour. c.Truth holds exactly the 300 m
+	// home-filtered ground truth in time order (the filter keeps order
+	// and the time sort is stable), resident or spilled alike.
+	eps := analysis.EpisodesOf(c.Truth.All(), 25, 5*time.Minute)
 	delays := analysis.FirstHitDelays(eps, combined, 10, time.Hour)
 	res.Episodes = len(eps)
 	res.BacktrackFrac1h10m = analysis.BacktrackFraction(delays, time.Hour)

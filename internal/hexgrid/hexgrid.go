@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"tagsim/internal/geo"
 )
@@ -178,6 +179,14 @@ func init() {
 		e2 := c.cross(e1)
 		faces[f] = face{center: c, e1: e1, e2: e2}
 	}
+	for res := range lattices {
+		rot := resRotation(res)
+		lattices[res] = lattice{
+			size: hexSize(res), rot: rot,
+			cos: math.Cos(rot), sin: math.Sin(rot),
+			cosUndo: math.Cos(-rot), sinUndo: math.Sin(-rot),
+		}
+	}
 }
 
 type vec3 struct{ x, y, z float64 }
@@ -263,24 +272,33 @@ func planeToVec(f int, x, y float64) vec3 {
 // alternation.
 func resRotation(res int) float64 { return float64(res) * res7RotRad }
 
-// planeToAxial converts plane meters to fractional axial coordinates of a
-// pointy-top lattice with circumradius size rotated by rot radians.
-func planeToAxial(x, y, size, rot float64) (qf, rf float64) {
+// lattice is one resolution's pointy-top hexagon lattice: circumradius
+// size, rotated by rot radians. The rotation's cosines and sines are
+// computed once here instead of for every point hashed.
+type lattice struct {
+	size, rot        float64
+	cos, sin         float64 // of rot
+	cosUndo, sinUndo float64 // of -rot
+}
+
+var lattices [MaxResolution + 1]lattice
+
+// planeToAxial converts plane meters to fractional axial coordinates of
+// the lattice.
+func (l *lattice) planeToAxial(x, y float64) (qf, rf float64) {
 	// Undo the lattice rotation.
-	cos, sin := math.Cos(-rot), math.Sin(-rot)
-	xr := x*cos - y*sin
-	yr := x*sin + y*cos
-	qf = (math.Sqrt(3)/3*xr - 1.0/3*yr) / size
-	rf = (2.0 / 3 * yr) / size
+	xr := x*l.cosUndo - y*l.sinUndo
+	yr := x*l.sinUndo + y*l.cosUndo
+	qf = (math.Sqrt(3)/3*xr - 1.0/3*yr) / l.size
+	rf = (2.0 / 3 * yr) / l.size
 	return qf, rf
 }
 
 // axialToPlane converts axial coordinates back to plane meters.
-func axialToPlane(q, r float64, size, rot float64) (x, y float64) {
-	x = size * math.Sqrt(3) * (q + r/2)
-	y = size * 1.5 * r
-	cos, sin := math.Cos(rot), math.Sin(rot)
-	return x*cos - y*sin, x*sin + y*cos
+func (l *lattice) axialToPlane(q, r float64) (x, y float64) {
+	x = l.size * math.Sqrt(3) * (q + r/2)
+	y = l.size * 1.5 * r
+	return x*l.cos - y*l.sin, x*l.sin + y*l.cos
 }
 
 // axialRound rounds fractional axial coordinates to the containing hexagon
@@ -305,45 +323,61 @@ func axialRound(qf, rf float64) (q, r int) {
 // LatLonToCell returns the cell containing p at the given resolution.
 // It panics if res is out of range; positions are always mappable.
 //
-// Cells are canonicalized across face seams: when a cell hashed on one
-// face has its center on a neighboring face, the index re-hashes at the
-// center's face until it reaches a fixed point (breaking the rare two-face
-// cycle by choosing the smallest index). This guarantees the idempotence
-// the analysis relies on: LatLonToCell(CellToLatLon(c), res) == c.
+// It is Canonical(FaceCell(p, res)): p is hashed on its nearest face,
+// then the cell is canonicalized across face seams.
 func LatLonToCell(p geo.LatLon, res int) Cell {
+	return Canonical(FaceCell(p, res))
+}
+
+// FaceCell returns the lattice cell p snaps to on its nearest face, before
+// seam canonicalization. Callers hashing many nearby points (a GPS trace)
+// can memoize Canonical on its result: consecutive points usually share
+// a FaceCell, and Canonical depends on nothing else. It panics if res is
+// out of range.
+func FaceCell(p geo.LatLon, res int) Cell {
 	if res < 0 || res > MaxResolution {
 		panic(fmt.Sprintf("hexgrid: resolution %d out of range", res))
 	}
-	c := hashOnFace(nearestFace(latLonToVec(p)), p, res)
-	visited := map[Cell]bool{c: true}
+	v := latLonToVec(p)
+	return hashOnFace(nearestFace(v), v, res)
+}
+
+// Canonical resolves a FaceCell across face seams: when a cell hashed on
+// one face has its center on a neighboring face, the index re-hashes at
+// the center's face until it reaches a fixed point (breaking the rare
+// two-face cycle by choosing the smallest index). This guarantees the
+// idempotence the analysis relies on: LatLonToCell(CellToLatLon(c), res)
+// == c.
+func Canonical(c Cell) Cell {
+	res := c.Resolution()
+	// At most seven cells are visited (the start plus six re-hashes), so
+	// a fixed array serves as the visited set.
+	var visited [7]Cell
+	visited[0] = c
+	n := 1
 	for iter := 0; iter < 6; iter++ {
-		center := CellToLatLon(c)
-		f := nearestFace(latLonToVec(center))
+		v := latLonToVec(CellToLatLon(c))
+		f := nearestFace(v)
 		if f == c.Face() {
 			return c
 		}
-		next := hashOnFace(f, center, res)
-		if visited[next] {
+		next := hashOnFace(f, v, res)
+		if slices.Contains(visited[:n], next) {
 			// Cycle across a face seam: pick the smallest member so every
 			// entry point into the cycle resolves to the same cell.
-			best := next
-			for v := range visited {
-				if v < best {
-					best = v
-				}
-			}
-			return best
+			return slices.Min(visited[:n])
 		}
-		visited[next] = true
+		visited[n] = next
+		n++
 		c = next
 	}
 	return c
 }
 
-// hashOnFace snaps p to the lattice of a specific face.
-func hashOnFace(f int, p geo.LatLon, res int) Cell {
-	x, y := facePlane(f, latLonToVec(p))
-	qf, rf := planeToAxial(x, y, hexSize(res), resRotation(res))
+// hashOnFace snaps the unit vector v to the lattice of face f.
+func hashOnFace(f int, v vec3, res int) Cell {
+	x, y := facePlane(f, v)
+	qf, rf := lattices[res].planeToAxial(x, y)
 	q, r := axialRound(qf, rf)
 	return packCell(res, f, q, r)
 }
@@ -352,7 +386,7 @@ func hashOnFace(f int, p geo.LatLon, res int) Cell {
 func CellToLatLon(c Cell) geo.LatLon {
 	res := c.Resolution()
 	q, r := c.axial()
-	x, y := axialToPlane(float64(q), float64(r), hexSize(res), resRotation(res))
+	x, y := lattices[res].axialToPlane(float64(q), float64(r))
 	return vecToLatLon(planeToVec(c.Face(), x, y))
 }
 
@@ -360,9 +394,9 @@ func CellToLatLon(c Cell) geo.LatLon {
 func Boundary(c Cell) []geo.LatLon {
 	res := c.Resolution()
 	q, r := c.axial()
-	cx, cy := axialToPlane(float64(q), float64(r), hexSize(res), resRotation(res))
-	size := hexSize(res)
-	rot := resRotation(res)
+	l := &lattices[res]
+	cx, cy := l.axialToPlane(float64(q), float64(r))
+	size, rot := l.size, l.rot
 	out := make([]geo.LatLon, 6)
 	for k := 0; k < 6; k++ {
 		// Pointy-top vertices at 30 + 60k degrees, then lattice rotation.

@@ -81,6 +81,13 @@ func TestCenterRoundTrip(t *testing.T) {
 			}
 		}
 	}
+	// Cells resolved across a face seam round-trip too.
+	for _, p := range seamWalks() {
+		c := LatLonToCell(p, 8)
+		if back := LatLonToCell(CellToLatLon(c), 8); back != c {
+			t.Fatalf("center of %v (from seam point %v) hashed to %v", c, p, back)
+		}
+	}
 }
 
 func TestCellContainsPoint(t *testing.T) {

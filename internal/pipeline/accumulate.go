@@ -258,10 +258,11 @@ func (a *CampaignAccumulator) Close() error {
 		}
 		st.Truth = truth
 		st.RemovedFrac = removed
-		// Raw-fix consumers (headline episodes, hexagon figures,
-		// per-country dataset reattachment) see empty ground truth in
-		// spill mode; the accuracy plane runs entirely through the
-		// TruthIndex and Index columns built below.
+		// Raw-fix consumers (hexagon figures, per-country dataset
+		// reattachment) see empty ground truth in spill mode; the
+		// accuracy plane runs entirely through the TruthIndex and Index
+		// columns built below, and the headline's episodes walk the
+		// spilled truth through TruthIndex.All.
 		st.Merged = analysis.NewDataset(nil, mergedCrawls)
 	} else {
 		kept, removed := analysis.FilterNearHomes(allFixes, st.Homes, 300)
