@@ -395,20 +395,12 @@ func BenchmarkCampaignSimulationParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkCampaignReplicates times the multi-replicate fan-out that
-// the scenario-diversity workload rides on (all replicate worlds share
-// one pool).
+// BenchmarkCampaignReplicates times the replicate sweep behind
+// tagrepro -replicates: four tiny campaigns at derived seeds, built one
+// after another through the streaming pipeline.
 func BenchmarkCampaignReplicates(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tagsim.RunWildReplicates(tagsim.WildConfig{
-			Seed: int64(i + 1),
-			Countries: []tagsim.CountrySpec{{
-				Code: "BB", Cities: 1, Days: 1, WalkKm: 3, JogKm: 3, TransitKm: 30,
-				Center:         tagsim.LatLon{Lat: 24.45, Lon: 54.38},
-				CityPopulation: 150000, AppleShare: 0.6, SamsungShare: 0.15,
-			}},
-			DevicesPerCity: 300,
-		}, 4)
+		tagsim.CampaignReplicates(tagsim.CampaignOptions{Seed: int64(i + 1), Scale: 0.02, DevicesPerCity: 60}, 4)
 	}
 }
 

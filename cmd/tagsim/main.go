@@ -15,13 +15,13 @@
 // DIR/reports.col in the binary columnar format as the simulation runs
 // (see internal/pipeline; tagsim.ReadReportsColumnar reads it back);
 // -truthlog does the same for ground-truth GPS fixes into
-// DIR/truth.col, the columnar spill format behind
-// tagsim.SetResidentTruth. -metrics-every D logs the process-wide
-// metrics snapshot (scan ticks, region scan latency, truth-spill bytes,
-// pipeline throughput, storage-tier activity — WAL records/fsyncs,
-// flushes, compactions — the obs.Default registry) to stderr every D
-// while the scenario runs, plus once at the end — the headless
-// campaign's progress view. -trace-every D additionally renders every
+// DIR/truth.col (columnar, time-sorted within each country;
+// pipeline.TruthReader reads it back). -metrics-every D logs the
+// process-wide metrics snapshot (scan ticks, region scan latency,
+// truth-log bytes, pipeline throughput, storage-tier activity — WAL
+// records/fsyncs, flushes, compactions — the obs.Default registry) to
+// stderr every D while the scenario runs, plus once at the end — the
+// headless campaign's progress view. -trace-every D additionally renders every
 // newly captured slow-op trace (tier flushes, compactions, pipeline
 // batches slower than their own p99) as a flame-line block.
 package main

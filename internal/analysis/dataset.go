@@ -48,13 +48,9 @@ func (ds *Dataset) CrawlsFor(v trace.Vendor) []trace.CrawlRecord {
 }
 
 // TruthIndex answers "where was the vantage point at time t" from the
-// recorded ground truth, interpolating between fixes. It is backed
-// either by a resident time-sorted fix slice (NewTruthIndex) or by a
-// disk-backed columnar store read through a bounded cursor
-// (NewDiskTruthIndex) — queries answer identically either way.
+// recorded ground truth, interpolating between fixes.
 type TruthIndex struct {
 	fixes []trace.GroundTruth
-	disk  *diskTruth // non-nil for disk-backed indexes; fixes is then nil
 	// MaxGap bounds interpolation: instants farther than MaxGap from any
 	// fix have no ground truth (the phone was off or GPS-denied).
 	MaxGap time.Duration
@@ -68,28 +64,13 @@ func NewTruthIndex(fixes []trace.GroundTruth) *TruthIndex {
 }
 
 // Len returns the number of fixes.
-func (ti *TruthIndex) Len() int {
-	if ti.disk != nil {
-		return ti.disk.store.Total()
-	}
-	return len(ti.fixes)
-}
+func (ti *TruthIndex) Len() int { return len(ti.fixes) }
 
-// All yields every fix in time order. A disk-backed index decodes one
-// frame at a time into a buffer of its own, so iterating never holds
-// more than a frame and does not disturb the At/HasCoverage window.
-func (ti *TruthIndex) All() iter.Seq[trace.GroundTruth] {
-	if ti.disk != nil {
-		return ti.disk.all
-	}
-	return slices.Values(ti.fixes)
-}
+// All yields every fix in time order.
+func (ti *TruthIndex) All() iter.Seq[trace.GroundTruth] { return slices.Values(ti.fixes) }
 
 // Span returns the time range covered by the fixes.
 func (ti *TruthIndex) Span() (from, to time.Time, ok bool) {
-	if ti.disk != nil {
-		return ti.disk.span()
-	}
 	if len(ti.fixes) == 0 {
 		return time.Time{}, time.Time{}, false
 	}
@@ -112,7 +93,6 @@ func truthAtEdge(edge trace.GroundTruth, t time.Time, maxGap time.Duration) (geo
 // truthAtBetween resolves a query bracketed by two fixes: interpolate
 // across small gaps, fall back to the nearer fix across large ones
 // (stationary periods record no fixes because only changes are kept).
-// Shared by the resident and disk backends so they cannot drift.
 func truthAtBetween(prev, next trace.GroundTruth, t time.Time, maxGap time.Duration) (geo.LatLon, bool) {
 	dPrev, dNext := t.Sub(prev.T), next.T.Sub(t)
 	gap := next.T.Sub(prev.T)
@@ -136,9 +116,6 @@ func truthAtBetween(prev, next trace.GroundTruth, t time.Time, maxGap time.Durat
 // At returns the vantage point's position at time t, interpolating between
 // the bracketing fixes. ok is false when t falls in a coverage gap.
 func (ti *TruthIndex) At(t time.Time) (geo.LatLon, bool) {
-	if ti.disk != nil {
-		return ti.disk.at(t, ti.MaxGap)
-	}
 	n := len(ti.fixes)
 	if n == 0 {
 		return geo.LatLon{}, false
@@ -156,9 +133,6 @@ func (ti *TruthIndex) At(t time.Time) (geo.LatLon, bool) {
 // HasCoverage reports whether any fix falls within [from, to), or the
 // window is bracketed by fixes at most MaxGap apart (a stationary period).
 func (ti *TruthIndex) HasCoverage(from, to time.Time) bool {
-	if ti.disk != nil {
-		return ti.disk.hasCoverage(from, to, ti.MaxGap)
-	}
 	n := len(ti.fixes)
 	i := sort.Search(n, func(k int) bool { return !ti.fixes[k].T.Before(from) })
 	if i < n && ti.fixes[i].T.Before(to) {
@@ -207,76 +181,52 @@ func (ti *TruthIndex) AvgSpeedKmh(from, to time.Time) (float64, bool) {
 	return geo.MsToKmh(dist / covered.Seconds()), true
 }
 
-// HomeDetector finds the participant's overnight locations (homes,
-// hotels — "any place they slept overnight") incrementally: positions
-// observed during the overnight window (00:00-06:00), clustered within
-// clusterRadiusM, kept only when the cluster accumulates at least 30
-// minutes of overnight presence. The dwell requirement separates
-// sleeping places from clusters a midnight walk home would otherwise
-// scatter along the route. Feeding fixes one batch at a time (the
-// truth-spill path) produces exactly what DetectHomes computes over the
-// concatenation — the clustering is a single forward pass and carries
-// no lookahead.
-type HomeDetector struct {
-	clusterRadiusM float64
-	clusters       []homeCluster
-}
-
-type homeCluster struct {
-	anchor geo.LatLon
-	dwell  time.Duration
-	lastAt time.Time
-}
-
-// NewHomeDetector builds a detector (clusterRadiusM <= 0 means the
-// paper's 300 m).
-func NewHomeDetector(clusterRadiusM float64) *HomeDetector {
+// DetectHomes finds the participant's overnight locations (homes,
+// hotels — "any place they slept overnight"): positions observed during
+// the overnight window (00:00-06:00), clustered within clusterRadiusM
+// (<= 0 means the paper's 300 m), kept only when the cluster accumulates
+// at least 30 minutes of overnight presence. The dwell requirement
+// separates sleeping places from clusters a midnight walk home would
+// otherwise scatter along the route. The clustering is a single forward
+// pass over fixes in the order given.
+func DetectHomes(fixes []trace.GroundTruth, clusterRadiusM float64) []geo.LatLon {
 	if clusterRadiusM <= 0 {
 		clusterRadiusM = 300
 	}
-	return &HomeDetector{clusterRadiusM: clusterRadiusM}
-}
-
-// Add feeds one fix, in fix-time order.
-func (hd *HomeDetector) Add(f trace.GroundTruth) {
-	if f.T.UTC().Hour() >= 6 {
-		return
+	type homeCluster struct {
+		anchor geo.LatLon
+		dwell  time.Duration
+		lastAt time.Time
 	}
-	for i := range hd.clusters {
-		c := &hd.clusters[i]
-		if geo.Distance(c.anchor, f.Pos) <= hd.clusterRadiusM {
-			gap := f.T.Sub(c.lastAt)
-			if gap > 0 && gap <= 10*time.Minute {
-				// Contiguous presence (stationary periods record
-				// sparse fixes, so allow generous gaps).
-				c.dwell += gap
-			}
-			c.lastAt = f.T
-			return
+	var clusters []homeCluster
+next:
+	for _, f := range fixes {
+		if f.T.UTC().Hour() >= 6 {
+			continue
 		}
+		for i := range clusters {
+			c := &clusters[i]
+			if geo.Distance(c.anchor, f.Pos) <= clusterRadiusM {
+				gap := f.T.Sub(c.lastAt)
+				if gap > 0 && gap <= 10*time.Minute {
+					// Contiguous presence (stationary periods record
+					// sparse fixes, so allow generous gaps).
+					c.dwell += gap
+				}
+				c.lastAt = f.T
+				continue next
+			}
+		}
+		clusters = append(clusters, homeCluster{anchor: f.Pos, lastAt: f.T})
 	}
-	hd.clusters = append(hd.clusters, homeCluster{anchor: f.Pos, lastAt: f.T})
-}
-
-// Homes returns the clusters that accumulated enough overnight dwell.
-func (hd *HomeDetector) Homes() []geo.LatLon {
 	const minDwell = 30 * time.Minute
 	var homes []geo.LatLon
-	for _, c := range hd.clusters {
+	for _, c := range clusters {
 		if c.dwell >= minDwell {
 			homes = append(homes, c.anchor)
 		}
 	}
 	return homes
-}
-
-// DetectHomes is the batch form of HomeDetector over a fix slice.
-func DetectHomes(fixes []trace.GroundTruth, clusterRadiusM float64) []geo.LatLon {
-	hd := NewHomeDetector(clusterRadiusM)
-	for _, f := range fixes {
-		hd.Add(f)
-	}
-	return hd.Homes()
 }
 
 // NearAnyHome reports whether pos lies within radiusM of any home — the

@@ -67,19 +67,10 @@ func NewIndex(truth *TruthIndex, reports []trace.CrawlRecord) *Index {
 			ix.distM[i] = geo.Distance(pos, r.Pos)
 		}
 	}
-	// The coverage columns need only fix instants, never positions. A
-	// disk-backed truth index streams its time column once into the
-	// resident fixTimes (8 B per fix versus ~128 B for the struct it
-	// replaces), so the built Index stays lock-free for concurrent
-	// figure sweeps even over spilled truth; a resident index converts
-	// its fixes in place.
-	if truth.disk != nil {
-		ix.fixTimes = truth.disk.fixTimes()
-	} else {
-		ix.fixTimes = make([]int64, len(truth.fixes))
-		for i, f := range truth.fixes {
-			ix.fixTimes[i] = f.T.UnixNano()
-		}
+	// The coverage columns need only fix instants, never positions.
+	ix.fixTimes = make([]int64, len(truth.fixes))
+	for i, f := range truth.fixes {
+		ix.fixTimes[i] = f.T.UnixNano()
 	}
 	maxGap := int64(truth.MaxGap)
 	for _, t := range ix.fixTimes {

@@ -12,7 +12,6 @@ import (
 	"tagsim/internal/analysis"
 	"tagsim/internal/geo"
 	"tagsim/internal/pipeline"
-	"tagsim/internal/runner"
 	"tagsim/internal/scenario"
 	"tagsim/internal/trace"
 )
@@ -58,9 +57,9 @@ func (o Options) wildConfig() scenario.WildConfig {
 // artifacts precomputed, shared by every wild-data experiment.
 type Campaign struct {
 	Options Options
-	Result  *scenario.WildResult
-	// Merged is the raw merged dataset across countries.
-	Merged *analysis.Dataset
+	// Result holds the per-country outputs; each country's Dataset is
+	// its time-sorted ground truth plus distinct crawl records.
+	Result *scenario.WildResult
 	// Homes are the detected overnight locations across the campaign.
 	Homes []geo.LatLon
 	// Truth indexes the home-filtered ground truth.
@@ -68,10 +67,10 @@ type Campaign struct {
 	// RemovedFrac is the share of fixes dropped by the home filter (the
 	// paper reports 65%).
 	RemovedFrac float64
-	// Filtered crawl records per vendor (incl. VendorCombined). In a
-	// streamed campaign these hold only distinct reports (the raw crawl
-	// log never materialized); every accuracy consumer dedups its input
-	// anyway, so the two forms analyze identically.
+	// Filtered crawl records per vendor (incl. VendorCombined). They
+	// hold only distinct reports (the raw crawl log never
+	// materializes); every accuracy consumer dedups its input anyway,
+	// so this analyzes exactly like the raw log.
 	filteredCrawls map[trace.Vendor][]trace.CrawlRecord
 	// One columnar analysis index per vendor over (Truth, filtered
 	// crawls): the crawl log is deduped and truth-resolved exactly once,
@@ -83,30 +82,17 @@ type Campaign struct {
 
 // NewCampaign runs the campaign and prepares the shared analysis state.
 //
-// By default the campaign streams: scan ticks publish report batches
-// through the pipeline while the simulation runs, and the analysis
-// state grows incrementally from distinct crawl records — the raw crawl
-// log never materializes. pipeline.SetStreaming(false) reverts to the
-// historical batch path (simulate everything, then analyze), which the
-// equivalence tests pin byte-identical figure for figure.
+// The campaign streams: scan ticks publish report batches through the
+// pipeline while the country engines run, and one CampaignAccumulator
+// grows the analysis state from the merged stream — the raw crawl log
+// never materializes. The country datasets are reattached from the
+// accumulator's per-world data (ground truth in full, crawls as
+// distinct reports), so the per-country figures (6, 7) read exactly
+// what they would compute from the raw logs.
 func NewCampaign(opts Options) *Campaign {
 	if opts.Scale <= 0 {
 		opts.Scale = 1
 	}
-	if pipeline.Streaming() {
-		return newCampaignStreamed(opts)
-	}
-	return newCampaignFromResult(opts, scenario.RunWild(opts.wildConfig()))
-}
-
-// newCampaignStreamed runs the campaign through the streaming pipeline:
-// one CampaignAccumulator consumes the merged world streams while the
-// country engines are still running, and the Campaign assembles from
-// its state. Country datasets are reattached from the accumulator's
-// per-world data (ground truth in full, crawls as distinct reports), so
-// the per-country figures (6, 7) read exactly what they would have
-// computed from the raw logs — every analysis consumer dedups anyway.
-func newCampaignStreamed(opts Options) *Campaign {
 	cfg := opts.wildConfig()
 	jobs := scenario.PlanWild(cfg)
 	acc := pipeline.NewCampaignAccumulator(len(jobs), opts.Workers)
@@ -119,60 +105,18 @@ func newCampaignStreamed(opts Options) *Campaign {
 		panic(err)
 	}
 	st := acc.State()
-	for i := range res.Countries {
-		w := st.Worlds[i]
-		res.Countries[i].Dataset = analysis.NewDataset(w.Fixes, w.Crawls)
+	for i, w := range st.Worlds {
+		res.Countries[i].Dataset = w.Dataset
 		res.Countries[i].Homes = w.Homes
 	}
 	c := &Campaign{
 		Options:        opts,
 		Result:         res,
-		Merged:         st.Merged,
 		Homes:          st.Homes,
 		Truth:          st.Truth,
 		RemovedFrac:    st.RemovedFrac,
 		filteredCrawls: st.Filtered,
 		indexes:        st.Indexes,
-	}
-	c.From, c.To = res.Span()
-	return c
-}
-
-// newCampaignFromResult prepares the shared analysis state over an
-// already-simulated campaign (NewCampaign's second half, reused by the
-// replicate fan-out so simulation and analysis parallelize separately).
-func newCampaignFromResult(opts Options, res *scenario.WildResult) *Campaign {
-	merged := res.MergedDataset()
-
-	var homes []geo.LatLon
-	for _, c := range res.Countries {
-		homes = append(homes, c.Homes...)
-	}
-	kept, removed := analysis.FilterNearHomes(merged.GroundTruth, homes, 300)
-
-	c := &Campaign{
-		Options:        opts,
-		Result:         res,
-		Merged:         merged,
-		Homes:          homes,
-		Truth:          analysis.NewTruthIndex(kept),
-		RemovedFrac:    removed,
-		filteredCrawls: make(map[trace.Vendor][]trace.CrawlRecord),
-	}
-	// The per-vendor home filter + index builds are independent passes
-	// over disjoint outputs; fan them out on the same worker knob.
-	type vendorPlane struct {
-		crawls []trace.CrawlRecord
-		index  *analysis.Index
-	}
-	planes := runner.Map(opts.Workers, len(Vendors), func(i int) vendorPlane {
-		crawls := analysis.FilterCrawlsNearHomes(merged.CrawlsFor(Vendors[i]), homes, 300)
-		return vendorPlane{crawls: crawls, index: analysis.NewIndex(c.Truth, crawls)}
-	})
-	c.indexes = make(map[trace.Vendor]*analysis.Index, len(Vendors))
-	for i, v := range Vendors {
-		c.filteredCrawls[v] = planes[i].crawls
-		c.indexes[v] = planes[i].index
 	}
 	c.From, c.To = res.Span()
 	return c
@@ -188,6 +132,7 @@ func (c *Campaign) Crawls(v trace.Vendor) []trace.CrawlRecord { return c.filtere
 func (c *Campaign) Index(v trace.Vendor) *analysis.Index { return c.indexes[v] }
 
 // Vendors lists the three analysis ecosystems in figure order — the
-// canonical trace.AnalysisVendors, shared with the streaming campaign
-// accumulator so the two paths can never drift on the vendor set.
+// canonical trace.AnalysisVendors, shared with the campaign accumulator
+// so the figures and the accumulated indexes never drift on the vendor
+// set.
 var Vendors = trace.AnalysisVendors

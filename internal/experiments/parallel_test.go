@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"tagsim/internal/scenario"
 	"tagsim/internal/trace"
 )
 
@@ -84,13 +85,43 @@ func TestFigurePipelineIndexEquivalence(t *testing.T) {
 	}
 }
 
+// TestCampaignReplicates pins every replicate to a plain campaign at its
+// derived seed — replicate r renders byte-identically to NewCampaign at
+// scenario.ReplicateSeed(seed, r), at any worker count — and checks the
+// across-replicate aggregates.
 func TestCampaignReplicates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign experiments are slow")
 	}
-	set := CampaignReplicates(tinyOpts(43, 0), 2)
-	if set.N() != 2 {
-		t.Fatalf("N = %d, want 2", set.N())
+	const seed, n = 43, 2
+	want := make([]string, n)
+	for r := range want {
+		want[r] = renderWildFigures(NewCampaign(tinyOpts(scenario.ReplicateSeed(seed, r), 0)))
+	}
+	if want[0] == want[1] {
+		t.Error("replicates 0 and 1 rendered identical figures; seeds did not diverge")
+	}
+	var set *ReplicateSet
+	for _, workers := range []int{1, 2} {
+		set = CampaignReplicates(tinyOpts(seed, workers), n)
+		if set.N() != n {
+			t.Fatalf("workers=%d: N = %d, want %d", workers, set.N(), n)
+		}
+		for r, c := range set.Campaigns {
+			if got := renderWildFigures(c); got != want[r] {
+				t.Errorf("workers=%d: replicate %d diverged from NewCampaign at seed %d:\ngot:\n%s\nwant:\n%s",
+					workers, r, scenario.ReplicateSeed(seed, r), got, want[r])
+			}
+			// Every replicate runs on the same country schedule.
+			for i, cr := range c.Result.Countries {
+				if !cr.Start.Equal(set.Campaigns[0].Result.Countries[i].Start) {
+					t.Errorf("workers=%d: replicate %d country %d starts %v, want the shared schedule", workers, r, i, cr.Start)
+				}
+			}
+		}
+	}
+	if got := CampaignReplicates(tinyOpts(seed, 1), 0).N(); got != 0 {
+		t.Errorf("0 replicates yielded %d campaigns", got)
 	}
 
 	t1 := set.Table1Stats()

@@ -13,33 +13,34 @@ import (
 )
 
 // ReplicateSet bundles N same-config campaigns run from distinct derived
-// seeds (scenario.ReplicateSeed). Replicate 0 renders every figure
-// byte-identically to a plain NewCampaign with the same options, so
-// aggregates extend — never replace — the single-run figures. (The
-// replicate fan-out materializes its campaigns on the batch path —
-// RunWildReplicates interleaves many worlds on one pool — while
-// NewCampaign streams by default; the streaming equivalence tests pin
-// the two paths figure-identical.)
+// seeds (scenario.ReplicateSeed). Replicate r is exactly NewCampaign at
+// seed ReplicateSeed(Options.Seed, r), so replicate 0 renders every
+// figure byte-identically to a plain NewCampaign with the same options,
+// and aggregates extend — never replace — the single-run figures.
 type ReplicateSet struct {
 	Options   Options
 	Campaigns []*Campaign
 }
 
-// CampaignReplicates fans the campaign across n seeds. The simulation
-// worlds of every (replicate, country) pair share one worker pool, and
-// the per-replicate analysis passes share another, so the sweep
-// saturates the machine without nesting pools.
+// CampaignReplicates runs the campaign at n derived seeds, one after
+// another: each campaign's countries already fan out on opts.Workers, so
+// running replicates in turn keeps the Workers cap without nesting
+// pools, and holds the simulation state of only one campaign at a time.
+// The across-replicate aggregates fan out over the campaigns, so each
+// campaign keeps a sequential view (Options.Workers = 1) for its own
+// figure passes.
 func CampaignReplicates(opts Options, n int) *ReplicateSet {
 	if opts.Scale <= 0 {
 		opts.Scale = 1
 	}
-	results := scenario.RunWildReplicates(opts.wildConfig(), n)
-	campaigns := runner.Map(opts.Workers, len(results), func(r int) *Campaign {
+	var campaigns []*Campaign
+	for r := 0; r < n; r++ {
 		ropts := opts
 		ropts.Seed = scenario.ReplicateSeed(opts.Seed, r)
-		ropts.Workers = 1 // the replicate fan-out is already parallel
-		return newCampaignFromResult(ropts, results[r])
-	})
+		c := NewCampaign(ropts)
+		c.Options.Workers = 1
+		campaigns = append(campaigns, c)
+	}
 	return &ReplicateSet{Options: opts, Campaigns: campaigns}
 }
 

@@ -359,7 +359,7 @@ func Headline(c *Campaign) *HeadlineResult {
 	// Backtracking: place episodes (>=5 min within 25 m), first accurate
 	// (10 m) report within one hour. c.Truth holds exactly the 300 m
 	// home-filtered ground truth in time order (the filter keeps order
-	// and the time sort is stable), resident or spilled alike.
+	// and the time sort is stable).
 	eps := analysis.EpisodesOf(c.Truth.All(), 25, 5*time.Minute)
 	delays := analysis.FirstHitDelays(eps, combined, 10, time.Hour)
 	res.Episodes = len(eps)

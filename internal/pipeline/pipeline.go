@@ -75,22 +75,6 @@ func init() {
 	obs.Default.GaugeFunc("pipeline_ahead_bytes_peak", func() float64 { return float64(aheadPeak.Load()) })
 }
 
-// streamingDisabled routes experiments.NewCampaign through the
-// historical batch path (materialize every dataset, then analyze)
-// instead of the streaming pipeline. It is the batch-path escape hatch
-// mirroring device.NearBrute: the default is streaming, and
-// equivalence tests pin the two paths byte-identical.
-var streamingDisabled atomic.Bool
-
-// SetStreaming toggles the streaming campaign pipeline (the default is
-// enabled). It returns the previous setting so callers can restore it.
-func SetStreaming(enabled bool) (was bool) {
-	return !streamingDisabled.Swap(!enabled)
-}
-
-// Streaming reports whether the streaming campaign path is enabled.
-func Streaming() bool { return !streamingDisabled.Load() }
-
 // Registration announces a tag paired to a vendor cloud, so consumers
 // (the store ingester in particular) know the tag universe even before
 // its first report — a tag with zero accepted reports still exists in

@@ -460,7 +460,7 @@ func TestCampaignAccumulatorDistinct(t *testing.T) {
 	}
 	for w := 0; w < nWorlds; w++ {
 		want := trace.DistinctReports(perWorld[w])
-		got := st.Worlds[w].Crawls[trace.VendorApple]
+		got := st.Worlds[w].Dataset.Crawls[trace.VendorApple]
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("world %d distinct crawls: got %d, want %d", w, len(got), len(want))
 		}
@@ -468,21 +468,15 @@ func TestCampaignAccumulatorDistinct(t *testing.T) {
 	if got, want := st.Merged.Crawls[trace.VendorApple], trace.DistinctReports(all); !reflect.DeepEqual(got, want) {
 		t.Errorf("campaign distinct crawls: got %d, want %d", len(got), len(want))
 	}
+	// The raw fixes are held once, in the world datasets.
+	fixes := 0
+	for _, wd := range st.Worlds {
+		fixes += len(wd.Dataset.GroundTruth)
+	}
+	if fixes != nWorlds*12 || len(st.Merged.GroundTruth) != 0 {
+		t.Errorf("world datasets hold %d fixes (want %d), merged dataset %d (want 0)", fixes, nWorlds*12, len(st.Merged.GroundTruth))
+	}
 	if st.Truth == nil || st.Indexes[trace.VendorCombined] == nil {
 		t.Error("truth index and combined analysis index must be built")
-	}
-}
-
-func TestSetStreamingToggle(t *testing.T) {
-	was := SetStreaming(false)
-	if !was {
-		t.Error("streaming must default to enabled")
-	}
-	if Streaming() {
-		t.Error("disable did not stick")
-	}
-	SetStreaming(was)
-	if !Streaming() {
-		t.Error("restore did not stick")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"tagsim/internal/colfmt"
@@ -14,12 +13,9 @@ import (
 )
 
 // The columnar ground-truth log is the report log's sibling for GPS
-// tracks: a continental-scale campaign records hundreds of millions of
-// vantage fixes, and holding them resident (~128 B each as structs)
-// defeats the bounded-memory pipeline. Fixes spill to disk as they
-// stream and the analysis plane reads them back through a seekable
-// cursor (analysis.NewDiskTruthIndex), never holding more than a frame
-// window.
+// tracks: cmd/tagsim -truthlog streams every uploaded vantage fix into
+// it as the campaign runs (TruthSink), and TruthReader streams the
+// frames back one at a time.
 //
 // Layout (little-endian throughout):
 //
@@ -39,26 +35,27 @@ import (
 //	index payload := u32 frameCount | (u64 offset | u32 count | i64 firstT | i64 lastT)*frameCount
 //	trailer := u64 indexOffset | "TAGGTCX\n" (8 bytes)
 //
-// The time column leads each frame so a cursor can decode just the
-// times (TruthFile.FrameTimes) without touching positions or strings.
-// Streaming readers stop at the index sentinel — 0xFFFFFFFF can never
-// be a data frame's length (it exceeds maxFrameBytes) — while seekable
-// readers jump to the index via the fixed-size trailer and then serve
-// random frame access through io.ReaderAt.
+// The time column leads each frame so a reader can take the instants
+// without touching positions or strings. Streaming readers stop at the
+// index sentinel — 0xFFFFFFFF can never be a data frame's length (it
+// exceeds maxFrameBytes) — while the fixed-size trailer locates the
+// frame index for a seekable reader.
 const (
 	truthLogMagic     = "TAGGTC1\n"
 	truthTrailerMagic = "TAGGTCX\n"
 	truthIndexMark    = 0xFFFFFFFF
 )
 
-// obsTruthSpill counts bytes written to columnar ground-truth logs
-// across the process (magic, frames, index, and trailer included).
-var obsTruthSpill = obs.GetCounter("truth_spill_bytes_total")
+// obsTruthLog counts bytes written to columnar ground-truth logs
+// across the process (magic, frames, index, and trailer included). The
+// series keeps its historical name so -metrics-every logs stay
+// comparable across versions.
+var obsTruthLog = obs.GetCounter("truth_spill_bytes_total")
 
-// TruthFrame is one data frame's index entry: where it starts (the
+// truthFrame is one data frame's index entry: where it starts (the
 // offset of its length prefix), how many fixes it holds, and the frame's
 // first and last fix instants (unix nanos).
-type TruthFrame struct {
+type truthFrame struct {
 	Offset int64
 	Count  int
 	FirstT int64
@@ -71,8 +68,8 @@ type TruthFrame struct {
 // TruthWriter encodes ground-truth fixes into the columnar log. Strict
 // writers (NewTruthWriter) enforce non-decreasing fix times, which is
 // what entitles readers to binary-search the frame index; the pipeline's
-// TruthSink relaxes this for raw multi-world export logs, whose index
-// OpenTruthFile then refuses. Not safe for concurrent use.
+// TruthSink relaxes this for raw multi-world export logs, which are
+// time-sorted only within each world. Not safe for concurrent use.
 type TruthWriter struct {
 	w          *bufio.Writer
 	batch      []trace.GroundTruth
@@ -80,7 +77,7 @@ type TruthWriter struct {
 	flushEvery int
 	strict     bool
 	off        int64 // logical bytes written (magic + frames)
-	frames     []TruthFrame
+	frames     []truthFrame
 	lastT      int64
 	hasLast    bool
 	wroteMagic bool
@@ -159,7 +156,7 @@ func (w *TruthWriter) Close() error {
 	if err := colfmt.WriteTrailer(w.w, indexOffset, truthTrailerMagic); err != nil {
 		return err
 	}
-	obsTruthSpill.Add(uint64(4 + 4 + len(p) + colfmt.TrailerLen))
+	obsTruthLog.Add(uint64(4 + 4 + len(p) + colfmt.TrailerLen))
 	return w.w.Flush()
 }
 
@@ -170,7 +167,7 @@ func (w *TruthWriter) writeFrame() error {
 			return err
 		}
 		w.off += int64(len(truthLogMagic))
-		obsTruthSpill.Add(uint64(len(truthLogMagic)))
+		obsTruthLog.Add(uint64(len(truthLogMagic)))
 	}
 	fs := w.batch
 	size := 4 // count
@@ -205,14 +202,14 @@ func (w *TruthWriter) writeFrame() error {
 	if err := colfmt.WriteFrame(w.w, p); err != nil {
 		return err
 	}
-	w.frames = append(w.frames, TruthFrame{
+	w.frames = append(w.frames, truthFrame{
 		Offset: w.off,
 		Count:  len(fs),
 		FirstT: fs[0].T.UnixNano(),
 		LastT:  fs[len(fs)-1].T.UnixNano(),
 	})
 	w.off += colfmt.FrameSize(len(p))
-	obsTruthSpill.Add(uint64(colfmt.FrameSize(len(p))))
+	obsTruthLog.Add(uint64(colfmt.FrameSize(len(p))))
 	w.batch = w.batch[:0]
 	return nil
 }
@@ -330,165 +327,11 @@ func ReadAllTruth(r io.Reader) ([]trace.GroundTruth, error) {
 	}
 }
 
-// TruthFile is random access over a complete, time-sorted columnar truth
-// log: the frame index is loaded once and each data frame decodes on
-// demand through an io.ReaderAt. It implements analysis.TruthStore, so
-// analysis.NewDiskTruthIndex can serve At/HasCoverage queries from a
-// bounded decoded window instead of a resident fix slice.
-//
-// TruthFile itself is safe for concurrent use (ReaderAt is positionless
-// and the metadata is immutable); decoded frames are the caller's.
-type TruthFile struct {
-	r      io.ReaderAt
-	frames []TruthFrame
-	starts []int // cumulative fix index of each frame's first fix
-	total  int
-}
-
-// OpenTruthFile loads the frame index of a columnar truth log of the
-// given size. Logs whose frames are not time-sorted (raw multi-world
-// export logs) are refused — stream those with TruthReader instead.
-func OpenTruthFile(r io.ReaderAt, size int64) (*TruthFile, error) {
-	magic := make([]byte, len(truthLogMagic))
-	if _, err := r.ReadAt(magic, 0); err != nil {
-		return nil, fmt.Errorf("pipeline: truth log header: %w", err)
-	}
-	if string(magic) != truthLogMagic {
-		return nil, fmt.Errorf("pipeline: bad truth log magic %q", magic)
-	}
-	indexOffset, err := colfmt.ReadTrailer(r, size, truthTrailerMagic)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: truth log: %w", err)
-	}
-	head := make([]byte, 8)
-	if _, err := r.ReadAt(head, indexOffset); err != nil {
-		return nil, fmt.Errorf("pipeline: truth index header: %w", err)
-	}
-	if binary.LittleEndian.Uint32(head[:4]) != truthIndexMark {
-		return nil, fmt.Errorf("pipeline: truth index sentinel missing at offset %d", indexOffset)
-	}
-	payloadLen := binary.LittleEndian.Uint32(head[4:])
-	if payloadLen < 4 || int64(payloadLen) > size-indexOffset-8 {
-		return nil, fmt.Errorf("pipeline: implausible truth index length %d", payloadLen)
-	}
-	payload := make([]byte, payloadLen)
-	if _, err := r.ReadAt(payload, indexOffset+8); err != nil {
-		return nil, fmt.Errorf("pipeline: truth index: %w", err)
-	}
-	frameCount := int(binary.LittleEndian.Uint32(payload[:4]))
-	if frameCount < 0 || 4+frameCount*(8+4+8+8) != len(payload) {
-		return nil, fmt.Errorf("pipeline: truth index frame count %d does not match payload", frameCount)
-	}
-	tf := &TruthFile{r: r, frames: make([]TruthFrame, frameCount), starts: make([]int, frameCount)}
-	off := 4
-	for i := range tf.frames {
-		fr := &tf.frames[i]
-		fr.Offset = int64(binary.LittleEndian.Uint64(payload[off:]))
-		fr.Count = int(binary.LittleEndian.Uint32(payload[off+8:]))
-		fr.FirstT = int64(binary.LittleEndian.Uint64(payload[off+12:]))
-		fr.LastT = int64(binary.LittleEndian.Uint64(payload[off+20:]))
-		off += 8 + 4 + 8 + 8
-		if fr.Count <= 0 || fr.FirstT > fr.LastT {
-			return nil, fmt.Errorf("pipeline: truth index frame %d is malformed", i)
-		}
-		if i > 0 && (fr.FirstT < tf.frames[i-1].LastT || fr.Offset <= tf.frames[i-1].Offset) {
-			return nil, fmt.Errorf("pipeline: truth log is not time-sorted at frame %d; stream it with TruthReader instead", i)
-		}
-		tf.starts[i] = tf.total
-		tf.total += fr.Count
-	}
-	return tf, nil
-}
-
-// Frames returns the number of data frames.
-func (tf *TruthFile) Frames() int { return len(tf.frames) }
-
-// Total returns the number of fixes across all frames.
-func (tf *TruthFile) Total() int { return tf.total }
-
-// FrameMeta returns frame i's global index of its first fix, its fix
-// count, and its first and last fix instants (unix nanos).
-func (tf *TruthFile) FrameMeta(i int) (start, count int, firstT, lastT int64) {
-	fr := tf.frames[i]
-	return tf.starts[i], fr.Count, fr.FirstT, fr.LastT
-}
-
-// readFramePayload fetches frame i's raw payload.
-func (tf *TruthFile) readFramePayload(i int) ([]byte, error) {
-	fr := tf.frames[i]
-	var lenBuf [4]byte
-	if _, err := tf.r.ReadAt(lenBuf[:], fr.Offset); err != nil {
-		return nil, fmt.Errorf("pipeline: truth frame %d length: %w", i, err)
-	}
-	payloadLen := binary.LittleEndian.Uint32(lenBuf[:])
-	if payloadLen < 4 || payloadLen > maxFrameBytes {
-		return nil, fmt.Errorf("pipeline: implausible truth frame %d length %d", i, payloadLen)
-	}
-	payload := make([]byte, payloadLen)
-	if _, err := tf.r.ReadAt(payload, fr.Offset+4); err != nil {
-		return nil, fmt.Errorf("pipeline: truth frame %d: %w", i, err)
-	}
-	return payload, nil
-}
-
-// ReadFrame decodes frame i into dst (reusing its capacity).
-func (tf *TruthFile) ReadFrame(i int, dst []trace.GroundTruth) ([]trace.GroundTruth, error) {
-	payload, err := tf.readFramePayload(i)
-	if err != nil {
-		return nil, err
-	}
-	fixes, err := decodeTruthFrame(payload, dst)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: truth frame %d: %w", i, err)
-	}
-	if len(fixes) != tf.frames[i].Count {
-		return nil, fmt.Errorf("pipeline: truth frame %d holds %d fixes, index says %d", i, len(fixes), tf.frames[i].Count)
-	}
-	return fixes, nil
-}
-
-// FrameTimes decodes only frame i's time column into dst — the leading
-// column exists precisely so cursors and coverage builds can scan
-// instants without decoding positions and strings.
-func (tf *TruthFile) FrameTimes(i int, dst []int64) ([]int64, error) {
-	payload, err := tf.readFramePayload(i)
-	if err != nil {
-		return nil, err
-	}
-	if len(payload) < 4 {
-		return nil, fmt.Errorf("pipeline: truth frame %d underrun", i)
-	}
-	count := int(binary.LittleEndian.Uint32(payload[:4]))
-	if count != tf.frames[i].Count || 4+count*8 > len(payload) {
-		return nil, fmt.Errorf("pipeline: truth frame %d holds %d fixes, index says %d", i, count, tf.frames[i].Count)
-	}
-	out := dst[:0]
-	for k := 0; k < count; k++ {
-		out = append(out, int64(binary.LittleEndian.Uint64(payload[4+k*8:])))
-	}
-	return out, nil
-}
-
-// Close releases the underlying reader when it is an io.Closer.
-func (tf *TruthFile) Close() error {
-	if c, ok := tf.r.(io.Closer); ok {
-		return c.Close()
-	}
-	return nil
-}
-
-// FrameFor returns the index of the first frame whose last fix instant
-// is >= tNs (len(frames) when every frame ends earlier).
-func (tf *TruthFile) FrameFor(tNs int64) int {
-	return sort.Search(len(tf.frames), func(i int) bool { return tf.frames[i].LastT >= tNs })
-}
-
 // TruthSink is the pipeline consumer streaming every world's ground
 // truth to a columnar log as it is produced. Worlds stream sequentially
 // through the merge, so a multi-world campaign's log is sorted within
 // each world but not across worlds — the sink therefore writes a
-// non-strict log, readable by TruthReader; OpenTruthFile refuses it
-// unless the campaign had one world.
+// non-strict log, readable by TruthReader.
 type TruthSink struct {
 	w *TruthWriter
 }

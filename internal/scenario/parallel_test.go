@@ -160,14 +160,21 @@ func TestWildFleetScale(t *testing.T) {
 	}
 }
 
+// TestWildReplicates checks the replicate contract scenario owns: a
+// replicate is RunWild at ReplicateSeed(seed, r), replicate 0 is the
+// plain run, and later replicates are different worlds on the same
+// country schedule. (Campaign-level replicates are checked by
+// experiments.TestCampaignReplicates.)
 func TestWildReplicates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wild campaign is slow")
 	}
 	cfg := tinyCampaign(17, 0)
-	reps := RunWildReplicates(cfg, 3)
-	if len(reps) != 3 {
-		t.Fatalf("%d replicates, want 3", len(reps))
+	reps := make([]*WildResult, 3)
+	for r := range reps {
+		rcfg := cfg
+		rcfg.Seed = ReplicateSeed(cfg.Seed, r)
+		reps[r] = RunWild(rcfg)
 	}
 	// Replicate 0 keeps the base seed: identical to a plain RunWild.
 	if base := RunWild(cfg); !equalWild(base, reps[0]) {
@@ -185,9 +192,6 @@ func TestWildReplicates(t *testing.T) {
 					r, i, rep.Countries[i].Start)
 			}
 		}
-	}
-	if RunWildReplicates(cfg, 0) != nil {
-		t.Error("0 replicates should yield nil")
 	}
 }
 

@@ -150,20 +150,6 @@ type WildResult struct {
 	Countries []CountryResult
 }
 
-// MergedDataset concatenates all countries' data into one dataset (the
-// stays are disjoint in time by construction).
-func (w *WildResult) MergedDataset() *analysis.Dataset {
-	var gt []trace.GroundTruth
-	crawls := map[trace.Vendor][]trace.CrawlRecord{}
-	for _, c := range w.Countries {
-		gt = append(gt, c.Dataset.GroundTruth...)
-		for v, recs := range c.Dataset.Crawls {
-			crawls[v] = append(crawls[v], recs...)
-		}
-	}
-	return analysis.NewDataset(gt, crawls)
-}
-
 // Span returns the campaign time range.
 func (w *WildResult) Span() (from, to time.Time) {
 	if len(w.Countries) == 0 {
@@ -237,34 +223,6 @@ const replicateSeedStride = 1 << 20
 // ReplicateSeed derives the base seed of replicate r; replicate 0 keeps
 // the base seed, so the first replicate reproduces RunWild exactly.
 func ReplicateSeed(base int64, r int) int64 { return base + int64(r)*replicateSeedStride }
-
-// RunWildReplicates fans the same campaign config across n seeds and
-// returns one WildResult per replicate, in replicate order. All
-// (replicate, country) worlds are flattened into a single pool
-// submission, so a machine with more cores than countries still
-// saturates. Peak memory holds all n results at once; size large
-// sweeps accordingly (or run them in batches).
-func RunWildReplicates(cfg WildConfig, n int) []*WildResult {
-	if n <= 0 {
-		return nil
-	}
-	cfg.defaults()
-	jobs := make([]CountryJob, 0, n*len(cfg.Countries))
-	for r := 0; r < n; r++ {
-		rcfg := cfg
-		rcfg.Seed = ReplicateSeed(cfg.Seed, r)
-		jobs = append(jobs, PlanWild(rcfg)...)
-	}
-	results := runner.Map(cfg.Workers, len(jobs), func(i int) CountryResult {
-		return jobs[i].Run()
-	})
-	per := len(cfg.Countries)
-	out := make([]*WildResult, n)
-	for r := 0; r < n; r++ {
-		out[r] = &WildResult{Countries: results[r*per : (r+1)*per : (r+1)*per]}
-	}
-	return out
-}
 
 // countryWorld is a fully built, ready-to-run country: the build phase
 // (geography, fleet, itinerary, tags, instruments) is separated from the

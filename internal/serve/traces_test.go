@@ -17,6 +17,26 @@ import (
 
 var traceIDPattern = regexp.MustCompile(`^[0-9a-f]{16}$`)
 
+// awaitCapture returns the capture the X-Tag-Trace header id names,
+// or nil if it is not on DefaultRing within 5 s. The header flushes
+// before the handler returns and FinishRoot copies the trace into the
+// ring after that, so a client can hold the whole response before the
+// capture is published.
+func awaitCapture(id string) *otrace.Captured {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		for _, c := range otrace.DefaultRing.Snapshot(0) {
+			if otrace.FormatID(c.ID) == id {
+				return c
+			}
+		}
+		if time.Now().After(deadline) {
+			return nil
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestXTagTraceHeader pins the capture advertisement contract on the
 // /v1/* endpoints: a request whose trace clears the serve plane's
 // capture bar answers with an X-Tag-Trace header naming the capture on
@@ -37,12 +57,7 @@ func TestXTagTraceHeader(t *testing.T) {
 	if !traceIDPattern.MatchString(id) {
 		t.Fatalf("X-Tag-Trace = %q, want a 16-hex-digit capture ID", id)
 	}
-	var captured *otrace.Captured
-	for _, c := range otrace.DefaultRing.Snapshot(0) {
-		if otrace.FormatID(c.ID) == id {
-			captured = c
-		}
-	}
+	captured := awaitCapture(id)
 	if captured == nil {
 		t.Fatalf("advertised capture %s not present on /debug/traces ring", id)
 	}
@@ -180,12 +195,7 @@ func TestColdHistoryTraceAnatomy(t *testing.T) {
 	if id == "" {
 		t.Fatal("cold history read not advertised via X-Tag-Trace")
 	}
-	var c *otrace.Captured
-	for _, cc := range otrace.DefaultRing.Snapshot(0) {
-		if otrace.FormatID(cc.ID) == id {
-			c = cc
-		}
-	}
+	c := awaitCapture(id)
 	if c == nil {
 		t.Fatalf("capture %s not on the ring", id)
 	}

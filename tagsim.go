@@ -86,8 +86,8 @@ type (
 // NewCampaign runs the six-country in-the-wild campaign.
 func NewCampaign(opts CampaignOptions) *Campaign { return experiments.NewCampaign(opts) }
 
-// CampaignReplicates fans the campaign across n derived seeds on one
-// shared worker pool and bundles the runs for aggregate analysis.
+// CampaignReplicates runs the campaign at n derived seeds, one campaign
+// after another, and bundles the runs for aggregate analysis.
 func CampaignReplicates(opts CampaignOptions, n int) *ReplicateSet {
 	return experiments.CampaignReplicates(opts, n)
 }
@@ -149,8 +149,6 @@ var (
 	// RunWild simulates an in-the-wild campaign, countries in parallel
 	// on WildConfig.Workers workers.
 	RunWild = scenario.RunWild
-	// RunWildReplicates fans one campaign config across n seeds.
-	RunWildReplicates = scenario.RunWildReplicates
 	// PlanWild lays out a campaign's CountryJobs without running them.
 	PlanWild = scenario.PlanWild
 	// ReplicateSeed derives the base seed of replicate r.
@@ -202,11 +200,6 @@ var (
 	SpeedClassifier    = analysis.SpeedClassifier
 	PeriodClassifier   = analysis.PeriodClassifier
 	WeekPartClassifier = analysis.WeekPartClassifier
-	// SetResidentTruth toggles whether campaign ground truth stays
-	// resident (default) or spills to disk-backed columnar logs read
-	// through a bounded cursor — the continental-scale memory knob
-	// (raw-fix consumers like the hexagon figures then see empty truth).
-	SetResidentTruth = analysis.SetResidentTruth
 	// DistinctReports collapses repeated crawl observations of one
 	// underlying report (shared by the analysis plane and the crawler).
 	DistinctReports = trace.DistinctReports
@@ -341,9 +334,8 @@ var (
 )
 
 // Streaming campaign pipeline: the live data path from the radio plane
-// to the serving store, the analysis plane, and disk. NewCampaign
-// streams by default; SetStreaming(false) is the batch-path escape
-// hatch (equivalence-tested byte-identical, figure for figure).
+// to the serving store, the analysis plane, and disk. NewCampaign builds
+// every campaign through it (one CampaignAccumulator consumer).
 type (
 	// Pipeline coordinates world emitters, the ordered merge, and the
 	// consumer fan-out of one streaming campaign.
@@ -386,11 +378,6 @@ var (
 	ReadReportsColumnar = pipeline.ReadReports
 	// NewReportColumnarReader opens a streaming columnar log reader.
 	NewReportColumnarReader = pipeline.NewReportReader
-	// SetStreaming toggles the streaming campaign path (default on);
-	// disabling reverts NewCampaign to the historical batch path.
-	SetStreaming = pipeline.SetStreaming
-	// StreamingEnabled reports whether campaigns stream.
-	StreamingEnabled = pipeline.Streaming
 )
 
 // Tag hardware models.
@@ -444,7 +431,10 @@ type (
 )
 
 // ReproduceAll runs every experiment and writes the paper-shaped tables to
-// w — the backbone of cmd/tagrepro and EXPERIMENTS.md. Independent
+// w: the controlled experiments (Figures 2-4, battery), then one campaign
+// with Table 1, Figures 5-8 and the headline claims. cmd/tagrepro prints
+// the same tables (plus ASCII charts, with per-figure selection) without
+// calling it; cmd/tagbench's campaign workload times it. Independent
 // computations fan out on opts.Workers workers (0 = one per CPU) while
 // the output keeps its fixed order; the rendered text is identical for
 // any worker count.
@@ -501,7 +491,7 @@ func ReproduceAll(w io.Writer, opts CampaignOptions) error {
 		// figure now also fans its panels/sweep points out internally; run
 		// the per-figure analysis sequentially inside the already-parallel
 		// jobs so the Workers cap on concurrent computations holds (the
-		// same pattern CampaignReplicates uses for its campaigns).
+		// same view CampaignReplicates gives its campaigns).
 		seq := *c
 		seq.Options.Workers = 1
 		c = &seq
