@@ -46,13 +46,17 @@ func main() {
 	if want("fig2") {
 		fmt.Println(tagsim.Figure2(*seed).Render())
 	}
-	if want("fig3") {
-		fig3 := tagsim.Figure3(*seed, *cafDays)
-		fmt.Println(fig3.Render())
-		fmt.Println(fig3.RenderChart())
-	}
-	if want("fig4") {
-		fmt.Println(tagsim.Figure4(*seed, *cafDays).Render())
+	if want("fig3") || want("fig4") {
+		// Figures 3 and 4 read one cafeteria run.
+		caf := tagsim.RunCafeteria(tagsim.CafeteriaConfig{Seed: *seed, Days: *cafDays})
+		if want("fig3") {
+			fig3 := tagsim.Figure3From(caf)
+			fmt.Println(fig3.Render())
+			fmt.Println(fig3.RenderChart())
+		}
+		if want("fig4") {
+			fmt.Println(tagsim.Figure4From(caf).Render())
+		}
 	}
 	if want("battery") {
 		fmt.Println(tagsim.Battery().Render())

@@ -233,12 +233,10 @@ next:
 // per-record predicate behind FilterNearHomes and FilterCrawlsNearHomes,
 // exported so streaming paths can filter without materializing slices.
 //
-// A great-circle distance is at least R·|Δlat|, so a home whose latitude
-// differs from pos's by more than (radiusM + 1 m)/R is skipped without a
-// haversine. The 1 m of slack dwarfs the floating-point error of
-// geo.Distance, so every decision equals the plain all-homes check.
+// A home outside pos's latitude band (geo.LatBandDeg) is skipped without
+// a haversine, so every decision equals the plain all-homes check.
 func NearAnyHome(pos geo.LatLon, homes []geo.LatLon, radiusM float64) bool {
-	bandDeg := (radiusM + 1) / geo.EarthRadiusMeters * 180 / math.Pi
+	bandDeg := geo.LatBandDeg(radiusM)
 	for _, h := range homes {
 		if math.Abs(pos.Lat-h.Lat) > bandDeg {
 			continue

@@ -110,6 +110,10 @@ type Device struct {
 	OnlineProb float64
 	// ActiveFrom/ActiveTo bound when the device exists in the world
 	// (e.g. a cafeteria visit). Zero values mean always active.
+	// NewFleet reads the windows once, to bucket a fully windowed
+	// fleet's devices by the hours they are active, as it reads Home
+	// once to place devices on its grid; changing either after NewFleet
+	// leaves the fleet's index stale.
 	ActiveFrom time.Time
 	ActiveTo   time.Time
 

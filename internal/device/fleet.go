@@ -2,7 +2,7 @@ package device
 
 import (
 	"math"
-	"slices"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -24,6 +24,15 @@ import (
 // Devices whose roam exceeds the cap (long-haul itineraries, unknown
 // mobility models with an unbounded roam) live in a small overflow list
 // that every query scans linearly.
+//
+// When every device has a bounded ActiveFrom/ActiveTo window (the
+// cafeteria's visits), the fleet also buckets device indices by the
+// hours their windows overlap. Visitors there share one location, so
+// the grid cannot prune them, and without the buckets every query would
+// test every visit of the whole deployment; with them, a query that
+// falls back to the linear scan tests only the visits of the hour that
+// holds t. Fleets with unbounded devices (the wild worlds' residents)
+// have no buckets.
 //
 // Candidates are produced in ascending device-index order — exactly the
 // order the historical linear scan produced — so every downstream RNG
@@ -47,12 +56,20 @@ type Fleet struct {
 	overflow   []int32 // ascending device indices with roam > roamCap
 	roamCap    float64 // max roam bound among grid-indexed devices
 
-	// scratch collects gathered cell buckets per query and idx the
+	// Activity buckets (nil actStart = none): bucket b holds, ascending,
+	// every device whose window overlaps
+	// [actBase + b·activityBucket, actBase + (b+1)·activityBucket) in
+	// unix nanos; actEnd is the latest window end.
+	actBase, actEnd int64
+	actStart        []int32 // CSR offsets: bucket b owns actIdx[actStart[b]:actStart[b+1]]
+	actIdx          []int32
+
+	// mark is the grid query's bitmap over device indices and idx the
 	// resulting candidate indices; reusing them makes Near
 	// allocation-free but not safe for concurrent queries on one Fleet
 	// (concurrent readers use Searcher, which owns its own scratch).
-	scratch []int32
-	idx     []int32
+	mark []uint64
+	idx  []int32
 }
 
 // Grid sizing bounds. The cell edge tracks the roam-bound distribution
@@ -62,6 +79,14 @@ type Fleet struct {
 const (
 	minCellM    = 64
 	maxGridSide = 512
+)
+
+// Activity bucket sizing: hour-long buckets, and no buckets at all when
+// they would hold more than maxActivityFanout entries per device (windows
+// of days or years) — past that the index stops paying for its memory.
+const (
+	activityBucket    = int64(time.Hour)
+	maxActivityFanout = 16
 )
 
 // NewFleet indexes devices around an origin (typically the city center).
@@ -78,7 +103,68 @@ func NewFleet(origin geo.LatLon, devices []*Device) *Fleet {
 		f.roamM[i] = roamBound(d)
 	}
 	f.buildGrid()
+	f.buildActivity()
 	return f
+}
+
+// buildActivity buckets the devices by active window when every device
+// has one. Iterating devices in index order keeps every bucket
+// ascending, the order the query checks them in.
+func (f *Fleet) buildActivity() {
+	if len(f.devices) == 0 {
+		return
+	}
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, d := range f.devices {
+		if d.ActiveFrom.IsZero() || d.ActiveTo.IsZero() {
+			return
+		}
+		lo = min(lo, d.ActiveFrom.UnixNano())
+		hi = max(hi, d.ActiveTo.UnixNano())
+	}
+	if hi <= lo {
+		return // every window is empty; the plain scan finds no one either
+	}
+	// span reports the buckets [b0, b1] a window overlaps (b1 < b0 for
+	// an empty window).
+	span := func(d *Device) (b0, b1 int64) {
+		from, to := d.ActiveFrom.UnixNano(), d.ActiveTo.UnixNano()
+		if to <= from {
+			return 0, -1
+		}
+		return (from - lo) / activityBucket, (to - 1 - lo) / activityBucket
+	}
+	limit := int64(maxActivityFanout) * int64(len(f.devices))
+	nb := (hi-1-lo)/activityBucket + 1
+	total := int64(0)
+	for _, d := range f.devices {
+		b0, b1 := span(d)
+		total += b1 - b0 + 1
+	}
+	if nb > limit || total > limit {
+		return
+	}
+	counts := make([]int32, nb+1)
+	for _, d := range f.devices {
+		b0, b1 := span(d)
+		for b := b0; b <= b1; b++ {
+			counts[b+1]++
+		}
+	}
+	for b := 1; b < len(counts); b++ {
+		counts[b] += counts[b-1]
+	}
+	f.actBase, f.actEnd = lo, hi
+	f.actStart = counts
+	f.actIdx = make([]int32, total)
+	fill := make([]int32, nb)
+	for i, d := range f.devices {
+		b0, b1 := span(d)
+		for b := b0; b <= b1; b++ {
+			f.actIdx[f.actStart[b]+fill[b]] = int32(i)
+			fill[b]++
+		}
+	}
 }
 
 // buildGrid derives the roam cap and cell size from the roam-bound
@@ -176,13 +262,7 @@ func roamBound(d *Device) float64 {
 	case mobility.Stationary:
 		return geo.Distance(d.Home, geo.LatLon(m)) + margin
 	case *mobility.Itinerary:
-		max := 0.0
-		for _, wp := range m.Waypoints() {
-			if dist := geo.Distance(d.Home, wp); dist > max {
-				max = dist
-			}
-		}
-		return max + margin
+		return m.MaxDistanceFrom(d.Home) + margin
 	default:
 		// Unknown model: assume it can be anywhere; the device joins the
 		// overflow list and is checked on every query.
@@ -214,7 +294,7 @@ func (f *Fleet) CountByVendor() map[trace.Vendor]int {
 // queries on the same Fleet (the simulation is single-goroutine per
 // world; concurrent readers of one fleet use Searcher instead).
 func (f *Fleet) Near(pos geo.LatLon, t time.Time, radiusM float64, dst []*Device) []*Device {
-	f.idx = f.nearIdx(&f.scratch, pos, t, radiusM, f.idx[:0])
+	f.idx = f.nearIdx(&f.mark, pos, t, radiusM, f.idx[:0])
 	for _, i := range f.idx {
 		dst = append(dst, f.devices[i])
 	}
@@ -226,7 +306,7 @@ func (f *Fleet) Near(pos geo.LatLon, t time.Time, radiusM float64, dst []*Device
 // per-(tag, device) state without a map of pointers. Same ordering and
 // concurrency contract as Near.
 func (f *Fleet) NearIndices(pos geo.LatLon, t time.Time, radiusM float64, dst []int32) []int32 {
-	return f.nearIdx(&f.scratch, pos, t, radiusM, dst)
+	return f.nearIdx(&f.mark, pos, t, radiusM, dst)
 }
 
 // NearBrute is the reference linear roam-bound scan over every device —
@@ -247,8 +327,8 @@ func (f *Fleet) NearBrute(pos geo.LatLon, t time.Time, radiusM float64, dst []*D
 // immutable after construction; the only shared mutable state in a
 // query is scratch, which the Searcher privatizes.
 type Searcher struct {
-	f     *Fleet
-	cells []int32
+	f    *Fleet
+	mark []uint64
 }
 
 // Searcher returns a new independent query stream over the fleet.
@@ -256,16 +336,16 @@ func (f *Fleet) Searcher() *Searcher { return &Searcher{f: f} }
 
 // NearIndices is Fleet.NearIndices on this searcher's private scratch.
 func (s *Searcher) NearIndices(pos geo.LatLon, t time.Time, radiusM float64, dst []int32) []int32 {
-	return s.f.nearIdx(&s.cells, pos, t, radiusM, dst)
+	return s.f.nearIdx(&s.mark, pos, t, radiusM, dst)
 }
 
 // nearIdx is the query core shared by every entry point: it appends the
-// ascending candidate indices to dst, using *cells for the grid-bucket
-// gather (caller-owned, so concurrent query streams never collide).
-func (f *Fleet) nearIdx(cells *[]int32, pos geo.LatLon, t time.Time, radiusM float64, dst []int32) []int32 {
+// ascending candidate indices to dst, using *mark as the grid path's
+// bitmap (caller-owned, so concurrent query streams never collide).
+func (f *Fleet) nearIdx(mark *[]uint64, pos geo.LatLon, t time.Time, radiusM float64, dst []int32) []int32 {
 	qx, qy := f.enu.Forward(pos)
 	if f.cellStart == nil {
-		return f.nearLinear(qx, qy, t, radiusM, dst)
+		return f.nearActive(qx, qy, t, radiusM, dst)
 	}
 	reach := f.roamCap + radiusM
 	cx0 := int(math.Floor((qx - reach - f.minX) / f.cellSizeM))
@@ -275,54 +355,81 @@ func (f *Fleet) nearIdx(cells *[]int32, pos geo.LatLon, t time.Time, radiusM flo
 	if cx1 < 0 || cy1 < 0 || cx0 >= f.nx || cy0 >= f.ny {
 		// Query circle misses the whole grid; only roaming outliers can
 		// possibly reach it.
-		return f.mergeCheck(nil, f.overflow, qx, qy, t, radiusM, dst)
+		for _, i := range f.overflow {
+			dst = f.checkCandidate(i, qx, qy, t, radiusM, dst)
+		}
+		return dst
 	}
 	cx0, cx1 = clampInt(cx0, 0, f.nx-1), clampInt(cx1, 0, f.nx-1)
 	cy0, cy1 = clampInt(cy0, 0, f.ny-1), clampInt(cy1, 0, f.ny-1)
 	if 2*(cx1-cx0+1)*(cy1-cy0+1) >= f.nx*f.ny {
 		// The query covers most of the grid (small worlds, huge radii):
-		// gathering plus sorting would cost more than the plain scan.
-		return f.nearLinear(qx, qy, t, radiusM, dst)
+		// marking most devices would cost more than the plain scan.
+		return f.nearActive(qx, qy, t, radiusM, dst)
 	}
-	gathered := (*cells)[:0]
+	// Each cell's bucket is ascending, but buckets of different cells
+	// interleave. Marking every bucket's devices, and the overflow list,
+	// in one bitmap and reading it back word by word yields them in
+	// global index order — the linear scan's order, which the
+	// downstream RNG draws follow — without sorting.
+	if len(*mark) == 0 {
+		*mark = make([]uint64, (len(f.devices)+63)/64)
+	}
+	m := *mark
+	lo, hi := len(m), -1 // range of words holding marks
+	set := func(ids []int32) {
+		if len(ids) == 0 {
+			return
+		}
+		lo, hi = min(lo, int(ids[0]>>6)), max(hi, int(ids[len(ids)-1]>>6))
+		for _, i := range ids {
+			m[i>>6] |= 1 << (i & 63)
+		}
+	}
 	for cy := cy0; cy <= cy1; cy++ {
 		row := cy * f.nx
-		gathered = append(gathered, f.cellIdx[f.cellStart[row+cx0]:f.cellStart[row+cx1+1]]...)
+		for c := row + cx0; c <= row+cx1; c++ {
+			set(f.cellIdx[f.cellStart[c]:f.cellStart[c+1]])
+		}
 	}
-	*cells = gathered
-	// Rows are gathered in ascending-cell order but indices interleave
-	// across rows; restore global device order before the checks so the
-	// downstream RNG draw order matches the linear scan exactly.
-	slices.Sort(gathered)
-	return f.mergeCheck(gathered, f.overflow, qx, qy, t, radiusM, dst)
-}
-
-func (f *Fleet) nearLinear(qx, qy float64, t time.Time, radiusM float64, dst []int32) []int32 {
-	for i := range f.devices {
-		dst = f.checkCandidate(int32(i), qx, qy, t, radiusM, dst)
+	set(f.overflow)
+	for w := lo; w <= hi; w++ {
+		word := m[w]
+		m[w] = 0 // leave the bitmap clear for the next query
+		for word != 0 {
+			i := int32(w<<6 | bits.TrailingZeros64(word))
+			dst = f.checkCandidate(i, qx, qy, t, radiusM, dst)
+			word &= word - 1
+		}
 	}
 	return dst
 }
 
-// mergeCheck walks two ascending index lists in merged order, applying
-// the roam-bound test to each — the grid path's equivalent of the linear
-// scan's single pass. Either list may be nil.
-func (f *Fleet) mergeCheck(a, b []int32, qx, qy float64, t time.Time, radiusM float64, dst []int32) []int32 {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] < b[j] {
-			dst = f.checkCandidate(a[i], qx, qy, t, radiusM, dst)
-			i++
-		} else {
-			dst = f.checkCandidate(b[j], qx, qy, t, radiusM, dst)
-			j++
-		}
+// nearActive is the linear scan the query core falls back to: over the
+// activity bucket that holds t when the fleet has buckets, over every
+// device otherwise. A device active at t has a window overlapping t's
+// bucket, so the bucket holds every candidate the full scan would admit,
+// in the same ascending order.
+func (f *Fleet) nearActive(qx, qy float64, t time.Time, radiusM float64, dst []int32) []int32 {
+	if f.actStart == nil {
+		return f.nearLinear(qx, qy, t, radiusM, dst)
 	}
-	for ; i < len(a); i++ {
-		dst = f.checkCandidate(a[i], qx, qy, t, radiusM, dst)
+	ns := t.UnixNano()
+	if ns < f.actBase || ns >= f.actEnd {
+		return dst // before every window opens or after every one closes
 	}
-	for ; j < len(b); j++ {
-		dst = f.checkCandidate(b[j], qx, qy, t, radiusM, dst)
+	b := (ns - f.actBase) / activityBucket
+	for _, i := range f.actIdx[f.actStart[b]:f.actStart[b+1]] {
+		dst = f.checkCandidate(i, qx, qy, t, radiusM, dst)
+	}
+	return dst
+}
+
+// nearLinear tests every device: NearBrute's scan, and the query path of
+// fleets without activity buckets.
+func (f *Fleet) nearLinear(qx, qy float64, t time.Time, radiusM float64, dst []int32) []int32 {
+	for i := range f.devices {
+		dst = f.checkCandidate(int32(i), qx, qy, t, radiusM, dst)
 	}
 	return dst
 }

@@ -105,6 +105,13 @@ func TestNearGridMatchesBrute(t *testing.T) {
 						trial, q, i, devs[di].ID, want[i].ID)
 				}
 			}
+			// The grid path must hand its bitmap back clear, or the next
+			// query tests stale devices.
+			for w, word := range append(f.mark, s.mark...) {
+				if word != 0 {
+					t.Fatalf("trial %d query %d: bitmap word %d left set after the query", trial, q, w)
+				}
+			}
 		}
 	}
 	if mixed == 0 {
@@ -147,5 +154,155 @@ func TestNearAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Near allocates %.1f times per query, want 0", allocs)
+	}
+}
+
+// windowedFleet builds a fleet in which every device has a bounded
+// active window — the shape that gets activity buckets. Device 0 opens
+// at t0, so bucket edges fall on t0 + k hours; windows start on, just
+// before and just after those edges and last from a minute to five
+// hours, so many straddle one or several edges. A few windows are empty
+// (ActiveTo not after ActiveFrom). spreadM 30 is the cafeteria (one
+// grid cell, every query on the linear path); larger spreads mix grid
+// and linear queries.
+func windowedFleet(rng *rand.Rand, n int, spreadM float64) *Fleet {
+	devices := make([]*Device, n)
+	for i := range devices {
+		home := geo.Destination(origin, rng.Float64()*360, rng.Float64()*spreadM)
+		d := New(fmt.Sprintf("vis-%04d", i), trace.VendorApple, home, mobility.Stationary(home))
+		from := t0.Add(time.Duration(rng.Intn(48)) * time.Hour)
+		switch rng.Intn(4) {
+		case 0: // on an edge
+		case 1:
+			from = from.Add(-time.Duration(1 + rng.Intn(int(time.Minute))))
+		default:
+			from = from.Add(time.Duration(rng.Int63n(int64(time.Hour))))
+		}
+		if i == 0 {
+			from = t0
+		}
+		d.ActiveFrom = from
+		switch rng.Intn(20) {
+		case 0: // empty window
+			d.ActiveTo = from.Add(-time.Duration(rng.Intn(2)) * time.Minute)
+		case 1: // closes exactly on an edge
+			d.ActiveTo = t0.Add(from.Sub(t0).Truncate(time.Hour) + time.Duration(1+rng.Intn(3))*time.Hour)
+		default:
+			d.ActiveTo = from.Add(time.Minute + time.Duration(rng.Int63n(int64(5*time.Hour))))
+		}
+		devices[i] = d
+	}
+	return NewFleet(origin, devices)
+}
+
+// TestNearActivityMatchesBrute is the activity index's correctness
+// property: on fully windowed random fleets, Near and a Searcher return
+// exactly NearBrute's candidates in NearBrute's order at window opens
+// (active), window closes (inactive), a nanosecond either side, bucket
+// edges, before the first window and after the last.
+func TestNearActivityMatchesBrute(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(600)
+		spread := []float64{30, 30, 3000}[rng.Intn(3)]
+		f := windowedFleet(rng, n, spread)
+		if f.actStart == nil {
+			t.Fatalf("trial %d: no activity buckets on a fully windowed fleet", trial)
+		}
+		devs := f.Devices()
+		last := t0
+		for _, d := range devs {
+			if d.ActiveTo.After(last) {
+				last = d.ActiveTo
+			}
+		}
+		var at []time.Time
+		for k := 0; k < 30; k++ {
+			d := devs[rng.Intn(n)]
+			at = append(at, d.ActiveFrom, d.ActiveTo, d.ActiveFrom.Add(-1), d.ActiveTo.Add(-1),
+				t0.Add(time.Duration(rng.Intn(60))*time.Hour))
+		}
+		at = append(at, t0.Add(-time.Minute), t0.Add(-1), last.Add(-1), last, last.Add(time.Hour))
+		s := f.Searcher()
+		var idx []int32
+		for q, when := range at {
+			pos := geo.Destination(origin, rng.Float64()*360, rng.Float64()*spread*1.5)
+			radius := []float64{1, 50, 120, 20000}[rng.Intn(4)]
+			want := f.NearBrute(pos, when, radius, nil)
+			got := f.Near(pos, when, radius, nil)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d query %d (n=%d t=%v r=%.0f): Near %d candidates, brute %d",
+					trial, q, n, when, radius, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d query %d: candidate %d is %s, brute has %s", trial, q, i, got[i].ID, want[i].ID)
+				}
+			}
+			idx = s.NearIndices(pos, when, radius, idx[:0])
+			if len(idx) != len(want) {
+				t.Fatalf("trial %d query %d: searcher %d candidates, brute %d", trial, q, len(idx), len(want))
+			}
+			for i, di := range idx {
+				if devs[di] != want[i] {
+					t.Fatalf("trial %d query %d: searcher candidate %d is %s, brute has %s",
+						trial, q, i, devs[di].ID, want[i].ID)
+				}
+			}
+		}
+	}
+}
+
+// TestNearActivityBoundaries pins the window semantics on the indexed
+// path: a visitor is a candidate from ActiveFrom inclusive to ActiveTo
+// exclusive, and nobody is before the first window or after the last.
+func TestNearActivityBoundaries(t *testing.T) {
+	a := New("a", trace.VendorApple, origin, mobility.Stationary(origin))
+	a.ActiveFrom, a.ActiveTo = t0, t0.Add(90*time.Minute)
+	b := New("b", trace.VendorApple, origin, mobility.Stationary(origin))
+	b.ActiveFrom, b.ActiveTo = t0.Add(time.Hour), t0.Add(3*time.Hour)
+	f := NewFleet(origin, []*Device{a, b})
+	if f.actStart == nil {
+		t.Fatal("no activity buckets")
+	}
+	for _, tc := range []struct {
+		at   time.Time
+		want string
+	}{
+		{t0.Add(-1), ""},
+		{t0, "a"},
+		{t0.Add(time.Hour - 1), "a"},
+		{t0.Add(time.Hour), "ab"},
+		{t0.Add(90*time.Minute - 1), "ab"},
+		{t0.Add(90 * time.Minute), "b"},
+		{t0.Add(3*time.Hour - 1), "b"},
+		{t0.Add(3 * time.Hour), ""},
+		{t0.Add(48 * time.Hour), ""},
+	} {
+		got := ""
+		for _, d := range f.Near(origin, tc.at, 10, nil) {
+			got += d.ID
+		}
+		if got != tc.want {
+			t.Errorf("at t0%+v: candidates %q, want %q", tc.at.Sub(t0), got, tc.want)
+		}
+	}
+}
+
+// TestNearActivityNeedsEveryWindow: one device without a window, or
+// windows so long that the buckets would hold more than
+// maxActivityFanout entries per device, leave the fleet unbucketed.
+func TestNearActivityNeedsEveryWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	f := windowedFleet(rng, 50, 30)
+	devs := append([]*Device(nil), f.Devices()...)
+	devs = append(devs, New("resident", trace.VendorApple, origin, mobility.Stationary(origin)))
+	if NewFleet(origin, devs).actStart != nil {
+		t.Error("activity buckets built although one device has no window")
+	}
+	long := New("long", trace.VendorApple, origin, mobility.Stationary(origin))
+	long.ActiveFrom, long.ActiveTo = t0, t0.Add(time.Duration(maxActivityFanout+1)*time.Hour)
+	if NewFleet(origin, []*Device{long}).actStart != nil {
+		t.Error("activity buckets built past maxActivityFanout entries per device")
 	}
 }

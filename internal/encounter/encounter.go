@@ -24,6 +24,7 @@ package encounter
 
 import (
 	"math"
+	"math/rand"
 	"sync/atomic"
 	"time"
 
@@ -77,10 +78,14 @@ func (c *Config) defaults() {
 }
 
 // scanScratch is one worker's private hot-path state: the candidate
-// index buffer, the reusable reseedable RNG stream, and a fleet query
-// stream with its own gather scratch. scratch[0] serves the serial path.
+// index buffer with the query that filled it, the reusable reseedable
+// RNG stream, and a fleet query stream with its own scratch. scratch[0]
+// serves the serial path.
 type scanScratch struct {
 	buf    []int32
+	asked  bool       // buf holds the answer for bufPos at bufAt
+	bufPos geo.LatLon // tag position of the query behind buf
+	bufAt  time.Time  // scan instant of the query behind buf
 	stream *sim.Stream
 	search *device.Searcher
 }
@@ -95,6 +100,7 @@ type pendingReport struct {
 // Plane wires tags, a device fleet, and vendor clouds together.
 type Plane struct {
 	cfg      Config
+	bandDeg  float64 // geo.LatBandDeg(cfg.MaxRangeM)
 	engine   *sim.Engine
 	fleet    *device.Fleet
 	tags     []*tag.Tag
@@ -165,6 +171,7 @@ func New(cfg Config, e *sim.Engine, fleet *device.Fleet, tags []*tag.Tag, servic
 	obsOverflow.Add(uint64(fleet.GridStats().Overflow))
 	p := &Plane{
 		cfg:       cfg,
+		bandDeg:   geo.LatBandDeg(cfg.MaxRangeM),
 		engine:    e,
 		fleet:     fleet,
 		tags:      tags,
@@ -303,6 +310,13 @@ func (p *Plane) scanSharded(now time.Time) {
 // Reports pass through emit: immediate scheduling on the serial path,
 // deferred on the sharded path. The draw sequence is identical either
 // way — emit performs no RNG draws.
+//
+// Most candidates are out of range: the fleet bounds them by their
+// home, not their position now. No draw happens before the range test,
+// so a candidate outside the tag's latitude band (geo.LatBandDeg) is
+// dropped before the haversine, and the (tag, tick) stream is seeded
+// only when the first candidate passes; neither shortcut changes a
+// draw.
 func (p *Plane) scanTag(ws *scanScratch, ti int, tg *tag.Tag, now time.Time, tagPos geo.LatLon, emit func(int, pendingReport)) {
 	beacons := tg.ExpectedBeacons(p.cfg.ScanInterval)
 	// Count whole beacons and carry the fractional mass to the next tick,
@@ -312,11 +326,18 @@ func (p *Plane) scanTag(ws *scanScratch, ti int, tg *tag.Tag, now time.Time, tag
 	p.beaconRem[ti] = frac
 	tg.CountBeacons(uint64(whole))
 
-	ws.buf = ws.search.NearIndices(tagPos, now, p.cfg.MaxRangeM, ws.buf[:0])
+	// Tags carried together (a campaign's AirTag and SmartTag ride one
+	// itinerary) ask the fleet the same question in the same tick; the
+	// worker answers it once. The fleet is immutable, so equal queries
+	// have equal answers.
+	if !ws.asked || tagPos != ws.bufPos || !now.Equal(ws.bufAt) {
+		ws.buf = ws.search.NearIndices(tagPos, now, p.cfg.MaxRangeM, ws.buf[:0])
+		ws.asked, ws.bufPos, ws.bufAt = true, tagPos, now
+	}
 	if len(ws.buf) == 0 {
 		return
 	}
-	rng := ws.stream.Reseed(p.tagSeed[ti].Bytes(p.tickKey).Seed())
+	var rng *rand.Rand
 	elig := p.elig[ti]
 	for _, di := range ws.buf {
 		dev := p.devs[di]
@@ -324,9 +345,15 @@ func (p *Plane) scanTag(ws *scanScratch, ti int, tg *tag.Tag, now time.Time, tag
 			continue
 		}
 		devPos := dev.Pos(now)
+		if math.Abs(devPos.Lat-tagPos.Lat) > p.bandDeg {
+			continue
+		}
 		d := geo.Distance(devPos, tagPos)
 		if d > p.cfg.MaxRangeM {
 			continue
+		}
+		if rng == nil {
+			rng = ws.stream.Reseed(p.tagSeed[ti].Bytes(p.tickKey).Seed())
 		}
 		decodeProb := tg.Profile.Channel.DecodeProb(d, p.cfg.Receiver)
 		hearProb := dev.Strategy.HearProb(beacons, decodeProb)

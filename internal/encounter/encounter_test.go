@@ -324,3 +324,15 @@ func BenchmarkScanOnceDenseCrowd(b *testing.B) {
 		w.plane.ScanOnce(t0.Add(time.Duration(i) * 30 * time.Second))
 	}
 }
+
+// TestPlaneBandIsRangeBand: scanTag drops a candidate outside
+// p.bandDeg without a haversine, which is sound only for the band of
+// the configured range (geo's TestLatBandRejectsOnlyOutOfRange).
+func TestPlaneBandIsRangeBand(t *testing.T) {
+	cfg := Config{}
+	cfg.defaults()
+	w := buildWorld(1, 0, 10, Config{})
+	if want := geo.LatBandDeg(cfg.MaxRangeM); w.plane.bandDeg != want {
+		t.Fatalf("plane band %v, want geo.LatBandDeg(%v) = %v", w.plane.bandDeg, cfg.MaxRangeM, want)
+	}
+}

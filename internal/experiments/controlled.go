@@ -97,11 +97,13 @@ type Figure3Result struct {
 
 // Figure3 runs the cafeteria deployment and aggregates per hour of day.
 func Figure3(seed int64, days int) *Figure3Result {
-	caf := scenario.RunCafeteria(scenario.CafeteriaConfig{Seed: seed, Days: days})
-	return figure3From(caf)
+	return Figure3From(scenario.RunCafeteria(scenario.CafeteriaConfig{Seed: seed, Days: days}))
 }
 
-func figure3From(caf *scenario.CafeteriaResult) *Figure3Result {
+// Figure3From aggregates a cafeteria run per hour of day. Figure4From
+// reads the same run, so a caller that renders both simulates the
+// deployment once; caf is only read.
+func Figure3From(caf *scenario.CafeteriaResult) *Figure3Result {
 	appleRows := analysis.UpdateRateByHourOfDay(caf.AppleHistory, caf.Counts,
 		func(c trace.DeviceCount) int { return c.Apple }, caf.Start, caf.End)
 	samsungRows := analysis.UpdateRateByHourOfDay(caf.SamsungHistory, caf.Counts,
@@ -172,11 +174,12 @@ type Figure4Result struct {
 
 // Figure4 runs the cafeteria deployment and buckets hours by device count.
 func Figure4(seed int64, days int) *Figure4Result {
-	caf := scenario.RunCafeteria(scenario.CafeteriaConfig{Seed: seed, Days: days})
-	return figure4From(caf)
+	return Figure4From(scenario.RunCafeteria(scenario.CafeteriaConfig{Seed: seed, Days: days}))
 }
 
-func figure4From(caf *scenario.CafeteriaResult) *Figure4Result {
+// Figure4From buckets a cafeteria run's hours by device count; caf is
+// only read.
+func Figure4From(caf *scenario.CafeteriaResult) *Figure4Result {
 	return &Figure4Result{
 		Apple: analysis.UpdateRateVsDevices(caf.AppleHistory, caf.Counts,
 			func(c trace.DeviceCount) int { return c.Apple }, 10),

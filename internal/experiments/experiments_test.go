@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tagsim/internal/population"
+	"tagsim/internal/scenario"
 	"tagsim/internal/trace"
 )
 
@@ -44,6 +45,19 @@ func TestFigure2Shape(t *testing.T) {
 	}
 	if !strings.Contains(r.Render(), "Figure 2") {
 		t.Error("render missing title")
+	}
+}
+
+// TestFiguresFromOneCafeteriaRun: rendering Figures 3 and 4 from one
+// shared cafeteria run, as ReproduceAll and tagrepro do, gives the
+// bytes Figure3 and Figure4 give when each simulates the deployment.
+func TestFiguresFromOneCafeteriaRun(t *testing.T) {
+	caf := scenario.RunCafeteria(scenario.CafeteriaConfig{Seed: 3, Days: 2})
+	if got, want := Figure3From(caf).Render(), Figure3(3, 2).Render(); got != want {
+		t.Errorf("Figure3From differs from Figure3:\n%s\nvs\n%s", got, want)
+	}
+	if got, want := Figure4From(caf).Render(), Figure4(3, 2).Render(); got != want {
+		t.Errorf("Figure4From differs from Figure4:\n%s\nvs\n%s", got, want)
 	}
 }
 

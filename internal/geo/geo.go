@@ -83,6 +83,17 @@ func Distance(p, q LatLon) float64 {
 	return 2 * EarthRadiusMeters * math.Asin(math.Sqrt(a))
 }
 
+// LatBandDeg returns the latitude difference, in degrees, beyond which
+// two points are certainly more than radiusM apart. A great-circle
+// distance is at least R·|Δlat| (in radians), so a pair whose latitudes
+// differ by more than (radiusM + 1 m)/R fails a Distance <= radiusM test
+// without computing the haversine; the 1 m of slack dwarfs the
+// floating-point error of Distance, so the shortcut decides every pair
+// the way Distance would.
+func LatBandDeg(radiusM float64) float64 {
+	return (radiusM + 1) / EarthRadiusMeters * 180 / math.Pi
+}
+
 // Bearing returns the initial great-circle bearing from p to q in degrees
 // clockwise from north, in [0, 360).
 func Bearing(p, q LatLon) float64 {

@@ -293,3 +293,39 @@ func BenchmarkENUForward(b *testing.B) {
 		e.Forward(p)
 	}
 }
+
+// TestLatBandRejectsOnlyOutOfRange: a pair whose latitudes differ by
+// more than LatBandDeg(r) is skipped without a haversine, so Distance
+// must put every such pair more than r apart. The pairs sit just past
+// the band edge at the equator, at mid latitudes, near ±85° where a
+// degree of longitude is short, and straddling the antimeridian.
+func TestLatBandRejectsOnlyOutOfRange(t *testing.T) {
+	lats := []float64{0, 24.45, 60, 84.99, 85, 85.01, -84.99, -85, -85.01, 89.999}
+	lons := []float64{0, 54.38, 179.9995, -179.9995, 180}
+	checked := 0
+	for _, r := range []float64{1, 30, 100, 1000} {
+		band := LatBandDeg(r)
+		for _, lat := range lats {
+			for _, lon := range lons {
+				p := LatLon{Lat: lat, Lon: lon}
+				for _, over := range []float64{1e-12, 1e-9, 1e-6} {
+					for _, sign := range []float64{1, -1} {
+						for _, dLon := range []float64{0, 1e-6, -1e-6, band / 4, band, -2 * band, 0.001, -0.001} {
+							q := LatLon{Lat: lat + sign*band*(1+over), Lon: NormalizeLon(lon + dLon)}
+							if q.Lat > 90 || q.Lat < -90 || math.Abs(p.Lat-q.Lat) <= band {
+								continue // off the globe, or rounding kept the pair inside the band
+							}
+							checked++
+							if d := min(Distance(p, q), Distance(q, p)); d <= r {
+								t.Fatalf("r=%v: %v and %v are outside the band but %.6f m apart", r, p, q, d)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if checked < 1000 {
+		t.Fatalf("only %d pairs checked past the band edge", checked)
+	}
+}

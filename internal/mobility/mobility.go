@@ -144,7 +144,11 @@ type Itinerary struct {
 // are allowed (instant teleports are not: a Move with zero speed
 // contributes nothing and is skipped).
 func NewItinerary(start time.Time, segments ...Segment) *Itinerary {
-	it := &Itinerary{Start: start}
+	it := &Itinerary{
+		Start:    start,
+		segments: make([]Segment, 0, len(segments)),
+		offsets:  make([]time.Duration, 0, len(segments)),
+	}
 	for _, s := range segments {
 		d := s.Duration()
 		if d <= 0 {
@@ -183,24 +187,42 @@ func (it *Itinerary) DistanceByClass() map[SpeedClass]float64 {
 	return out
 }
 
-// Waypoints returns every segment endpoint the itinerary touches. Because
-// segments are great-circle legs at city scale, the maximum distance from
-// any fixed point to the itinerary is attained (to within meters) at one of
-// these waypoints — which is how the device fleet computes exact roam
-// bounds for its spatial index.
-func (it *Itinerary) Waypoints() []geo.LatLon {
-	var out []geo.LatLon
+// MaxDistanceFrom returns the largest great-circle distance from p to
+// any segment endpoint the itinerary touches (0 for an empty
+// itinerary). Because segments are great-circle legs at city scale, the
+// maximum distance from a fixed point to the itinerary is attained (to
+// within meters) at one of these waypoints — which is how the device
+// fleet computes exact roam bounds for its spatial index. Waypoints are
+// visited in segment order without being collected; a waypoint equal
+// to the one before it (a Move's end, the Stay there, the next Move's
+// start) is measured once.
+func (it *Itinerary) MaxDistanceFrom(p geo.LatLon) float64 {
+	max := 0.0
+	var last geo.LatLon
+	visited := false
+	visit := func(wp geo.LatLon) {
+		if visited && wp == last {
+			return
+		}
+		last, visited = wp, true
+		if d := geo.Distance(p, wp); d > max {
+			max = d
+		}
+	}
 	for _, s := range it.segments {
 		switch seg := s.(type) {
 		case Stay:
-			out = append(out, seg.At)
+			visit(seg.At)
 		case Move:
-			out = append(out, seg.Along...)
+			for _, wp := range seg.Along {
+				visit(wp)
+			}
 		default:
-			out = append(out, seg.PosAt(0), seg.End())
+			visit(seg.PosAt(0))
+			visit(seg.End())
 		}
 	}
-	return out
+	return max
 }
 
 // Pos implements Model.

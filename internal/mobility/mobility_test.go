@@ -141,6 +141,75 @@ func TestItineraryDistances(t *testing.T) {
 	}
 }
 
+// glide is a Segment other than Stay and Move: MaxDistanceFrom must
+// fall back to its start and end positions.
+type glide struct{ from, to geo.LatLon }
+
+func (g glide) Duration() time.Duration { return time.Minute }
+func (g glide) PosAt(elapsed time.Duration) geo.LatLon {
+	if elapsed <= 0 {
+		return g.from
+	}
+	return g.to
+}
+func (g glide) End() geo.LatLon { return g.to }
+
+// TestMaxDistanceFromMatchesWaypoints pins MaxDistanceFrom to its
+// definition: the maximum over the itinerary's waypoints, collected in
+// segment order (every Move vertex, every Stay, the endpoints of any
+// other segment), of the distance from the query point.
+func TestMaxDistanceFromMatchesWaypoints(t *testing.T) {
+	waypoints := func(it *Itinerary) []geo.LatLon {
+		var out []geo.LatLon
+		for _, s := range it.segments {
+			switch seg := s.(type) {
+			case Stay:
+				out = append(out, seg.At)
+			case Move:
+				out = append(out, seg.Along...)
+			default:
+				out = append(out, seg.PosAt(0), seg.End())
+			}
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(11))
+	if d := NewItinerary(start).MaxDistanceFrom(origin); d != 0 {
+		t.Fatalf("empty itinerary: MaxDistanceFrom = %v, want 0", d)
+	}
+	for trial := 0; trial < 200; trial++ {
+		var segs []Segment
+		cur := origin
+		for k := rng.Intn(6); k >= 0; k-- {
+			next := geo.Destination(origin, rng.Float64()*360, rng.Float64()*20000)
+			switch rng.Intn(3) {
+			case 0:
+				segs = append(segs, Stay{At: next, For: time.Duration(1+rng.Intn(90)) * time.Minute})
+			case 1:
+				mid := geo.Destination(cur, rng.Float64()*360, rng.Float64()*5000)
+				segs = append(segs, Move{Along: geo.Path{cur, mid, next}, SpeedKmh: 3 + rng.Float64()*60})
+			default:
+				segs = append(segs, glide{from: cur, to: next})
+			}
+			cur = next
+		}
+		it := NewItinerary(start, segs...)
+		p := geo.Destination(origin, rng.Float64()*360, rng.Float64()*10000)
+		want := 0.0
+		for _, wp := range waypoints(it) {
+			if d := geo.Distance(p, wp); d > want {
+				want = d
+			}
+		}
+		if got := it.MaxDistanceFrom(p); got != want {
+			t.Fatalf("trial %d: MaxDistanceFrom = %v, waypoint maximum %v", trial, got, want)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { it.MaxDistanceFrom(p) }); allocs != 0 {
+			t.Fatalf("trial %d: MaxDistanceFrom allocates %.1f times", trial, allocs)
+		}
+	}
+}
+
 func TestSpeedKmhAt(t *testing.T) {
 	b := geo.Destination(origin, 90, 10000)
 	it := NewItinerary(start, Move{Along: geo.Path{origin, b}, SpeedKmh: 20})

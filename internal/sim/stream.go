@@ -68,16 +68,22 @@ func streamBase(seed int64) StreamSeed {
 // per (entity, tick) pays no allocation after the first use. Draws after
 // Reseed(s) are identical to rand.New(rand.NewSource(s)).
 //
+// The source is lazySource: Reseed stores the seed and nothing else, and
+// each register word is computed the first time a draw reads it. A
+// reseed followed by a few draws therefore costs a few word
+// computations, not math/rand's 607-word fill.
+//
 // A Stream is not safe for concurrent use; give each goroutine its own.
 type Stream struct {
-	src rand.Source
+	src lazySource
 	rng *rand.Rand
 }
 
 // NewStream returns an unseeded stream; call Reseed before drawing.
 func NewStream() *Stream {
-	src := rand.NewSource(0)
-	return &Stream{src: src, rng: rand.New(src)}
+	s := &Stream{}
+	s.rng = rand.New(&s.src)
+	return s
 }
 
 // Reseed re-initializes the stream to the given seed and returns the

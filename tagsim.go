@@ -104,6 +104,11 @@ var (
 	Figure3 = experiments.Figure3
 	// Figure4 buckets cafeteria update rates by reporting-device count.
 	Figure4 = experiments.Figure4
+	// Figure3From and Figure4From render Figures 3 and 4 from one
+	// RunCafeteria result, so rendering both simulates the deployment
+	// once.
+	Figure3From = experiments.Figure3From
+	Figure4From = experiments.Figure4From
 	// Table1 summarizes the campaign dataset like the paper's Table 1.
 	Table1 = experiments.Table1
 	// Figure5Sweep computes accuracy vs responsiveness at one radius.
@@ -140,6 +145,8 @@ type (
 	CountrySpec = scenario.CountrySpec
 	// CafeteriaConfig parameterizes the instrumented cafeteria.
 	CafeteriaConfig = scenario.CafeteriaConfig
+	// CafeteriaResult is a cafeteria run: what Figures 3 and 4 read.
+	CafeteriaResult = scenario.CafeteriaResult
 	// SecludedConfig parameterizes the RSSI measurement.
 	SecludedConfig = scenario.SecludedConfig
 )
@@ -473,10 +480,14 @@ func ReproduceAll(w io.Writer, opts CampaignOptions) error {
 	// campaign simulation (internally parallel over countries), then
 	// the figures over the shared campaign — each an independent
 	// read-only analysis pass.
+	// Figures 3 and 4 read one cafeteria run, so one job renders both;
+	// write ends each rendering with the newline that joins them.
 	controlled := []func() string{
 		func() string { return Figure2(opts.Seed).Render() },
-		func() string { return Figure3(opts.Seed, cafDays).Render() },
-		func() string { return Figure4(opts.Seed, cafDays).Render() },
+		func() string {
+			caf := RunCafeteria(CafeteriaConfig{Seed: opts.Seed, Days: cafDays})
+			return Figure3From(caf).Render() + "\n" + Figure4From(caf).Render()
+		},
 		func() string { return Battery().Render() },
 	}
 	if err := renderAll(controlled); err != nil {
