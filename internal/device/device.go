@@ -97,7 +97,8 @@ type Device struct {
 	// users must opt in (the paper's explanation for the sparse Samsung
 	// fleet).
 	OptedIn bool
-	// Home anchors the device's routine; used by the fleet index.
+	// Home anchors the device's routine; the fleet cuts its scan
+	// regions over the rows homes span.
 	Home     geo.LatLon
 	Mobility mobility.Model
 	Strategy Strategy
@@ -110,10 +111,13 @@ type Device struct {
 	OnlineProb float64
 	// ActiveFrom/ActiveTo bound when the device exists in the world
 	// (e.g. a cafeteria visit). Zero values mean always active.
-	// NewFleet reads the windows once, to bucket a fully windowed
-	// fleet's devices by the hours they are active, as it reads Home
-	// once to place devices on its grid; changing either after NewFleet
-	// leaves the fleet's index stale.
+	// The fleet's hour slices read the windows each time they index an
+	// hour: a device inactive for the whole hour is left out, and the
+	// rest are bounded over the part of the hour they are active. A
+	// query stream keeps an hour's slice until its queries leave that
+	// hour, and a device's bound while its mobility model says it
+	// holds, so changing a window or the model after the fleet has been
+	// queried can leave them stale.
 	ActiveFrom time.Time
 	ActiveTo   time.Time
 

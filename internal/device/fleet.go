@@ -3,11 +3,11 @@ package device
 import (
 	"math"
 	"math/bits"
-	"sort"
 	"time"
 
 	"tagsim/internal/geo"
 	"tagsim/internal/mobility"
+	"tagsim/internal/obs"
 	"tagsim/internal/trace"
 )
 
@@ -16,257 +16,296 @@ import (
 // possibly be within radio range of this tag right now?" — so the index
 // must answer without evaluating every device's mobility model.
 //
-// Each device gets a precomputed roam bound: the farthest its itinerary
-// ever strays from its home anchor. On top of that, home anchors are
-// bucketed into a uniform grid on the local ENU plane, sized from the
-// fleet's roam-bound distribution: a query only visits the cells that
-// intersect the circle of radius roamCap+radius around the query point.
-// Devices whose roam exceeds the cap (long-haul itineraries, unknown
-// mobility models with an unbounded roam) live in a small overflow list
-// that every query scans linearly.
+// The index is sliced by the hour. Each query stream (a Searcher, or the
+// fleet's own scratch behind Near) lazily builds a grid for the hour that
+// holds the query instant, and rebuilds it in O(devices + segments in the
+// hour) when its queries move to another hour. The grid bounds every
+// device active during the hour by a box on the fleet's local ENU plane:
+// the waypoints of its segments active in the hour (clamped to the first
+// or last position outside its itinerary), plus sliceMarginM. Boxes up to
+// sliceLegM across are bucketed into fixed sliceCellM cells, hashed onto
+// a table sized by the number of entries; a device inactive for the
+// whole hour is left out; a leg over sliceLegM, a wider box or an
+// unknown mobility model puts the device on the hour's always-checked
+// list. A device's box is kept from hour to hour while its itinerary
+// stays in one segment, so a night at home is bounded once. A query
+// visits the cells under the window that holds every point within its
+// radius, marks their devices and the always-checked list in a bitmap,
+// and reads it back in device-index order, keeping the devices whose
+// box meets the window and that are active at the query instant.
+// Memory is O(devices) per query stream at any campaign length, and
+// query streams share nothing mutable.
 //
-// When every device has a bounded ActiveFrom/ActiveTo window (the
-// cafeteria's visits), the fleet also buckets device indices by the
-// hours their windows overlap. Visitors there share one location, so
-// the grid cannot prune them, and without the buckets every query would
-// test every visit of the whole deployment; with them, a query that
-// falls back to the linear scan tests only the visits of the hour that
-// holds t. Fleets with unbounded devices (the wild worlds' residents)
-// have no buckets.
-//
-// Candidates are produced in ascending device-index order — exactly the
-// order the historical linear scan produced — so every downstream RNG
-// draw sequence, and therefore the whole simulation output, is
-// byte-identical to the unindexed implementation (property-tested
-// against NearBrute in fleet_prop_test.go).
+// Candidates are a superset of the devices truly within range (the
+// encounter plane still measures each one) and appear in ascending
+// device-index order, so every downstream RNG draw sequence — and the
+// whole simulation output — is the same as a linear scan over the
+// devices in range would give (property-tested against NearBrute, the
+// exact linear oracle, in fleet_prop_test.go).
 type Fleet struct {
 	devices []*Device
 	enu     *geo.ENU
-	// planar home coordinates and roam bounds, parallel to devices.
-	xs, ys []float64
-	roamM  []float64
+	// mPerLonDeg converts a longitude difference to ENU east meters.
+	mPerLonDeg float64
+	// rowLo and rows span the slice-grid rows of the devices' homes;
+	// Regions cuts bands over them.
+	rowLo, rows int
 
-	// Uniform grid over home anchors (nil cellStart = no grid; queries
-	// fall back to the linear roam-bound scan).
-	cellSizeM  float64
-	minX, minY float64
-	nx, ny     int
-	cellStart  []int32 // CSR offsets: cell c owns cellIdx[cellStart[c]:cellStart[c+1]]
-	cellIdx    []int32 // device indices bucketed by cell, ascending within each cell
-	overflow   []int32 // ascending device indices with roam > roamCap
-	roamCap    float64 // max roam bound among grid-indexed devices
-
-	// Activity buckets (nil actStart = none): bucket b holds, ascending,
-	// every device whose window overlaps
-	// [actBase + b·activityBucket, actBase + (b+1)·activityBucket) in
-	// unix nanos; actEnd is the latest window end.
-	actBase, actEnd int64
-	actStart        []int32 // CSR offsets: bucket b owns actIdx[actStart[b]:actStart[b+1]]
-	actIdx          []int32
-
-	// mark is the grid query's bitmap over device indices and idx the
-	// resulting candidate indices; reusing them makes Near
-	// allocation-free but not safe for concurrent queries on one Fleet
-	// (concurrent readers use Searcher, which owns its own scratch).
-	mark []uint64
-	idx  []int32
+	// Scratch of Near and NearIndices: the fleet's own query stream,
+	// not safe for concurrent queries (concurrent readers use Searcher,
+	// which owns its own).
+	own slice
+	idx []int32
 }
 
-// Grid sizing bounds. The cell edge tracks the roam-bound distribution
-// but never drops below minCellM (degenerate all-stationary fleets would
-// otherwise build enormous grids), and the grid never exceeds
-// maxGridSide cells per axis (sparse outliers grow the cells instead).
+// Hour-slice constants.
+//
+// Positions during a slice lie on the device's segments active then: a
+// Stay's point, or a point on a Move leg's great circle. Along a leg
+// that does not pass a pole the longitude is monotone (Clairaut:
+// cos φ·sin α is constant, so sin α keeps its sign), so the leg's
+// longitudes lie between its endpoints'. Its latitude is not: its
+// second derivative per unit of arc is −sin²α·tan φ, so the leg bows
+// poleward of the straight interpolation of its endpoints' latitudes by at most θ²/8·max|tan φ|
+// for an arc of θ radians — L²·tan|φ|/(8R) meters for a leg of length
+// L. ENU x and y are linear in longitude and latitude, so the box
+// around the projected waypoints holds every projected position but
+// that bow. sliceMarginM is 1 m for the bow and 1 m for floating-point
+// rounding in Pos, ENU.Forward and Distance (micrometres at city scale).
+// A device is gridded only when its bow bound stays within the 1 m —
+// a 2.5 km leg qualifies up to about 80° of latitude — and a device
+// with a larger bound is checked on every query, its box grown by the
+// bound. The plane's scale error (east meters are true only at the
+// origin's latitude) is not the margin's: the query window is exact,
+// the projection of the latitude and longitude bands
+// (geo.LatBandDeg, geo.LonBandDeg) that hold every point Distance puts
+// within the radius.
 const (
-	minCellM    = 64
-	maxGridSide = 512
+	sliceNs      = int64(time.Hour)
+	sliceCellM   = 250.0 // about a query window at the 120 m scan range
+	sliceLegM    = 2500.0
+	sliceMarginM = 2.0
 )
 
-// Activity bucket sizing: hour-long buckets, and no buckets at all when
-// they would hold more than maxActivityFanout entries per device (windows
-// of days or years) — past that the index stops paying for its memory.
-const (
-	activityBucket    = int64(time.Hour)
-	maxActivityFanout = 16
+// Process-wide fleet index series in the obs.Default registry.
+var (
+	obsSliceBuilds = obs.GetCounter("fleet_slice_builds_total")
+	obsSliceBuild  = obs.GetHistogram("fleet_slice_build_seconds")
+	obsCandidates  = obs.GetCounter("fleet_candidates_total")
 )
+
+// rect is an axis-aligned box on the fleet's ENU plane.
+type rect struct{ x0, y0, x1, y1 float64 }
+
+// everywhere bounds a device nothing else bounds.
+var everywhere = rect{math.Inf(-1), math.Inf(-1), math.Inf(1), math.Inf(1)}
+
+func (r rect) meets(w rect) bool {
+	return r.x0 <= w.x1 && w.x0 <= r.x1 && r.y0 <= w.y1 && w.y0 <= r.y1
+}
+
+// slice is one query stream's index of the hour its last query fell in.
+type slice struct {
+	hour  int64 // slice number: floor(unix nanos / sliceNs)
+	built bool
+	dev   []bound // per device; meaningful for members of the hour
+	live  []int32 // ascending: devices active at some instant of the hour
+	grid  []int32 // ascending: members bucketed into cells
+	check []int32 // ascending: members checked on every query
+	// start and cell are a CSR table over hashed cells: bucket b owns
+	// cell[start[b]:start[b+1]], ascending device indices. Cells that
+	// collide share a bucket; the box test drops their strangers.
+	start []int32
+	cell  []int32
+	shift uint // 64 - log2(len(start)-1)
+	mark  []uint64
+}
+
+// bound is one device's box in a query stream. It is kept across hours
+// while it still holds: a device that stays put for the night is
+// bounded once, not every hour.
+type bound struct {
+	box rect
+	// from and until, in unix nanos: box holds the device's positions
+	// over every window inside [from, until).
+	from, until        int64
+	cx0, cy0, cx1, cy1 int32 // cells the box covers, when gridded
+	row                int32 // itinerary row at from: the next search's hint
+	gridded            bool
+}
 
 // NewFleet indexes devices around an origin (typically the city center).
 func NewFleet(origin geo.LatLon, devices []*Device) *Fleet {
 	f := &Fleet{
-		devices: devices,
-		enu:     geo.NewENU(origin),
-		xs:      make([]float64, len(devices)),
-		ys:      make([]float64, len(devices)),
-		roamM:   make([]float64, len(devices)),
+		devices:    devices,
+		enu:        geo.NewENU(origin),
+		mPerLonDeg: math.Cos(origin.Lat*math.Pi/180) * geo.EarthRadiusMeters * math.Pi / 180,
 	}
-	for i, d := range devices {
-		f.xs[i], f.ys[i] = f.enu.Forward(d.Home)
-		f.roamM[i] = roamBound(d)
+	lo, hi := math.MaxInt, math.MinInt
+	for _, d := range devices {
+		_, y := f.enu.Forward(d.Home)
+		r := cellOf(y)
+		lo, hi = min(lo, r), max(hi, r)
 	}
-	f.buildGrid()
-	f.buildActivity()
+	if len(devices) > 0 {
+		f.rowLo, f.rows = lo, hi-lo+1
+	}
 	return f
 }
 
-// buildActivity buckets the devices by active window when every device
-// has one. Iterating devices in index order keeps every bucket
-// ascending, the order the query checks them in.
-func (f *Fleet) buildActivity() {
-	if len(f.devices) == 0 {
-		return
+// cellOf maps an ENU coordinate to its cell number along that axis.
+func cellOf(v float64) int { return int(math.Floor(v / sliceCellM)) }
+
+// cellKey hashes a cell onto a table of 1<<(64-shift) buckets.
+func cellKey(cx, cy int32, shift uint) int {
+	k := uint64(uint32(cx))<<32 | uint64(uint32(cy))
+	return int((k * 0x9E3779B97F4A7C15) >> shift)
+}
+
+// sliceOf returns the slice number holding t (floored before the epoch).
+func sliceOf(t time.Time) int64 {
+	ns := t.UnixNano()
+	h := ns / sliceNs
+	if ns%sliceNs < 0 {
+		h--
 	}
-	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-	for _, d := range f.devices {
-		if d.ActiveFrom.IsZero() || d.ActiveTo.IsZero() {
+	return h
+}
+
+// use makes s index the hour that holds t.
+func (f *Fleet) use(s *slice, t time.Time) {
+	if h := sliceOf(t); !s.built || s.hour != h {
+		f.build(s, h)
+	}
+}
+
+// build indexes hour h: every device active during it, bounded for the
+// hour, and the cells of the gridded ones.
+func (f *Fleet) build(s *slice, h int64) {
+	t0 := time.Now()
+	if s.dev == nil {
+		s.dev = make([]bound, len(f.devices))
+		s.mark = make([]uint64, (len(f.devices)+63)/64)
+	}
+	s.hour, s.built = h, true
+	s.live, s.grid, s.check = s.live[:0], s.grid[:0], s.check[:0]
+	from := h * sliceNs
+	entries := 0
+	for i, d := range f.devices {
+		lo, hi := from, from+sliceNs
+		if !d.ActiveFrom.IsZero() {
+			lo = max(lo, d.ActiveFrom.UnixNano())
+		}
+		if !d.ActiveTo.IsZero() {
+			hi = min(hi, d.ActiveTo.UnixNano())
+		}
+		if lo >= hi {
+			continue // inactive for the whole hour
+		}
+		s.live = append(s.live, int32(i))
+		b := &s.dev[i]
+		if lo < b.from || hi > b.until {
+			f.bound(b, d.Mobility, lo, hi)
+		}
+		if !b.gridded {
+			s.check = append(s.check, int32(i))
+			continue
+		}
+		s.grid = append(s.grid, int32(i))
+		entries += int(b.cx1-b.cx0+1) * int(b.cy1-b.cy0+1)
+	}
+
+	// Counting sort of the gridded devices' cells into a table of at
+	// least as many buckets as entries. Devices go in ascending order,
+	// so every bucket is ascending.
+	nb := 1
+	for nb < entries {
+		nb <<= 1
+	}
+	s.shift = uint(64 - bits.TrailingZeros(uint(nb)))
+	if cap(s.start) < nb+1 {
+		s.start = make([]int32, nb+1)
+	}
+	s.start = s.start[:nb+1]
+	clear(s.start)
+	for _, i := range s.grid {
+		b := &s.dev[i]
+		for cy := b.cy0; cy <= b.cy1; cy++ {
+			for cx := b.cx0; cx <= b.cx1; cx++ {
+				s.start[cellKey(cx, cy, s.shift)+1]++
+			}
+		}
+	}
+	for b := 1; b <= nb; b++ {
+		s.start[b] += s.start[b-1]
+	}
+	if cap(s.cell) < entries {
+		s.cell = make([]int32, entries)
+	}
+	s.cell = s.cell[:entries]
+	// Fill through start[b] as bucket b's cursor, then shift the
+	// cursors (now each bucket's end) back into starts.
+	for _, i := range s.grid {
+		b := &s.dev[i]
+		for cy := b.cy0; cy <= b.cy1; cy++ {
+			for cx := b.cx0; cx <= b.cx1; cx++ {
+				k := cellKey(cx, cy, s.shift)
+				s.cell[s.start[k]] = i
+				s.start[k]++
+			}
+		}
+	}
+	copy(s.start[1:], s.start[:nb])
+	s.start[0] = 0
+
+	obsSliceBuilds.Inc()
+	obs.Since(obsSliceBuild, t0)
+}
+
+// bound recomputes b for a device moving by m, active over [lo, hi) in
+// unix nanos: the box holding its positions, how long that holds, and
+// whether the box is small enough to grid.
+func (f *Fleet) bound(b *bound, m mobility.Model, lo, hi int64) {
+	b.from, b.until, b.gridded = math.MinInt64, math.MaxInt64, false
+	var box geo.BBox
+	var legM float64
+	switch m := m.(type) {
+	case mobility.Stationary:
+		box = geo.NewBBox(geo.LatLon(m))
+	case *mobility.Itinerary:
+		sp := m.Extent(time.Unix(0, lo), time.Unix(0, hi), int(b.row))
+		b.row, b.from, b.until = int32(sp.Row), lo, sp.Until.UnixNano()
+		if !sp.OK {
+			b.box = everywhere
 			return
 		}
-		lo = min(lo, d.ActiveFrom.UnixNano())
-		hi = max(hi, d.ActiveTo.UnixNano())
-	}
-	if hi <= lo {
-		return // every window is empty; the plain scan finds no one either
-	}
-	// span reports the buckets [b0, b1] a window overlaps (b1 < b0 for
-	// an empty window).
-	span := func(d *Device) (b0, b1 int64) {
-		from, to := d.ActiveFrom.UnixNano(), d.ActiveTo.UnixNano()
-		if to <= from {
-			return 0, -1
-		}
-		return (from - lo) / activityBucket, (to - 1 - lo) / activityBucket
-	}
-	limit := int64(maxActivityFanout) * int64(len(f.devices))
-	nb := (hi-1-lo)/activityBucket + 1
-	total := int64(0)
-	for _, d := range f.devices {
-		b0, b1 := span(d)
-		total += b1 - b0 + 1
-	}
-	if nb > limit || total > limit {
-		return
-	}
-	counts := make([]int32, nb+1)
-	for _, d := range f.devices {
-		b0, b1 := span(d)
-		for b := b0; b <= b1; b++ {
-			counts[b+1]++
-		}
-	}
-	for b := 1; b < len(counts); b++ {
-		counts[b] += counts[b-1]
-	}
-	f.actBase, f.actEnd = lo, hi
-	f.actStart = counts
-	f.actIdx = make([]int32, total)
-	fill := make([]int32, nb)
-	for i, d := range f.devices {
-		b0, b1 := span(d)
-		for b := b0; b <= b1; b++ {
-			f.actIdx[f.actStart[b]+fill[b]] = int32(i)
-			fill[b]++
-		}
-	}
-}
-
-// buildGrid derives the roam cap and cell size from the roam-bound
-// distribution and buckets the grid-eligible homes.
-func (f *Fleet) buildGrid() {
-	finite := make([]float64, 0, len(f.roamM))
-	for _, r := range f.roamM {
-		if !math.IsInf(r, 1) {
-			finite = append(finite, r)
-		}
-	}
-	if len(finite) == 0 {
-		return // nothing indexable; overflow-only queries degrade to linear
-	}
-	// roamCap at the 99th percentile: the overflow list — scanned
-	// linearly on every query — stays at ~1% of the fleet, while the
-	// roaming tail (long-haul co-travelers, unbounded models) cannot
-	// inflate every indexed cell's reach. The index picks the largest
-	// roam *below* the tail, so a sharply bimodal distribution (many
-	// stationary homes, few cross-city commuters) caps at the local
-	// mode rather than the first commuter.
-	sort.Float64s(finite)
-	f.roamCap = math.Max(finite[(len(finite)-1)*99/100], minCellM)
-
-	minX, minY := math.Inf(1), math.Inf(1)
-	maxX, maxY := math.Inf(-1), math.Inf(-1)
-	indexed := 0
-	for i, r := range f.roamM {
-		if r > f.roamCap {
-			f.overflow = append(f.overflow, int32(i)) // ascending by construction
-			continue
-		}
-		indexed++
-		minX, minY = math.Min(minX, f.xs[i]), math.Min(minY, f.ys[i])
-		maxX, maxY = math.Max(maxX, f.xs[i]), math.Max(maxY, f.ys[i])
-	}
-	if indexed == 0 {
-		return
-	}
-	f.cellSizeM = math.Max(f.roamCap, minCellM)
-	f.cellSizeM = math.Max(f.cellSizeM, (maxX-minX)/maxGridSide)
-	f.cellSizeM = math.Max(f.cellSizeM, (maxY-minY)/maxGridSide)
-	f.minX, f.minY = minX, minY
-	f.nx = int((maxX-minX)/f.cellSizeM) + 1
-	f.ny = int((maxY-minY)/f.cellSizeM) + 1
-
-	// Counting sort into CSR cells; iterating devices in index order keeps
-	// every cell's bucket ascending, which the query merge relies on.
-	counts := make([]int32, f.nx*f.ny+1)
-	for i, r := range f.roamM {
-		if r > f.roamCap {
-			continue
-		}
-		counts[f.cellOf(f.xs[i], f.ys[i])+1]++
-	}
-	for c := 1; c < len(counts); c++ {
-		counts[c] += counts[c-1]
-	}
-	f.cellStart = counts
-	f.cellIdx = make([]int32, indexed)
-	fill := make([]int32, f.nx*f.ny)
-	for i, r := range f.roamM {
-		if r > f.roamCap {
-			continue
-		}
-		c := f.cellOf(f.xs[i], f.ys[i])
-		f.cellIdx[f.cellStart[c]+fill[c]] = int32(i)
-		fill[c]++
-	}
-}
-
-// cellOf maps planar coordinates to a cell index, clamped into the grid.
-func (f *Fleet) cellOf(x, y float64) int {
-	cx := int((x - f.minX) / f.cellSizeM)
-	cy := int((y - f.minY) / f.cellSizeM)
-	cx = clampInt(cx, 0, f.nx-1)
-	cy = clampInt(cy, 0, f.ny-1)
-	return cy*f.nx + cx
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// roamBound computes how far the device's mobility can take it from home.
-func roamBound(d *Device) float64 {
-	const margin = 50 // meters of slack for path interpolation
-	switch m := d.Mobility.(type) {
-	case mobility.Stationary:
-		return geo.Distance(d.Home, geo.LatLon(m)) + margin
-	case *mobility.Itinerary:
-		return m.MaxDistanceFrom(d.Home) + margin
+		box, legM = sp.Box, sp.LongestM
 	default:
-		// Unknown model: assume it can be anywhere; the device joins the
-		// overflow list and is checked on every query.
-		return math.Inf(1)
+		b.box = everywhere // unknown model: it can be anywhere
+		return
+	}
+	pad := sliceMarginM
+	gridded := legM <= sliceLegM
+	if legM > 0 {
+		// The bow bound at the highest latitude the leg can reach: no
+		// point of it is farther than its length from an endpoint.
+		lat := math.Max(math.Abs(box.MinLat), math.Abs(box.MaxLat)) + legM/geo.EarthRadiusMeters*180/math.Pi
+		if lat >= 90 {
+			b.box = everywhere
+			return
+		}
+		if bow := legM * legM * math.Tan(lat*math.Pi/180) / (8 * geo.EarthRadiusMeters); bow > 1 {
+			pad += bow
+			gridded = false
+		}
+	}
+	x0, y0 := f.enu.Forward(geo.LatLon{Lat: box.MinLat, Lon: box.MinLon})
+	x1, y1 := f.enu.Forward(geo.LatLon{Lat: box.MaxLat, Lon: box.MaxLon})
+	b.box = rect{x0 - pad, y0 - pad, x1 + pad, y1 + pad}
+	if gridded && x1-x0 <= sliceLegM && y1-y0 <= sliceLegM {
+		b.gridded = true
+		b.cx0, b.cy0 = int32(cellOf(b.box.x0)), int32(cellOf(b.box.y0))
+		b.cx1, b.cy1 = int32(cellOf(b.box.x1)), int32(cellOf(b.box.y1))
 	}
 }
 
@@ -287,14 +326,15 @@ func (f *Fleet) CountByVendor() map[trace.Vendor]int {
 
 // Near appends to dst the devices that are active at time t and could be
 // within radiusM of pos (callers still verify true distance via Pos). It
-// returns the extended slice, enabling allocation-free reuse. Candidates
-// appear in ascending device-index order, identical to NearBrute.
+// returns the extended slice, enabling allocation-free reuse once the
+// hour's index is built. Candidates hold every device NearBrute returns
+// and appear in ascending device-index order.
 //
 // Near reuses per-fleet scratch space and is not safe for concurrent
 // queries on the same Fleet (the simulation is single-goroutine per
 // world; concurrent readers of one fleet use Searcher instead).
 func (f *Fleet) Near(pos geo.LatLon, t time.Time, radiusM float64, dst []*Device) []*Device {
-	f.idx = f.nearIdx(&f.mark, pos, t, radiusM, f.idx[:0])
+	f.idx = f.nearIdx(&f.own, pos, t, radiusM, f.idx[:0])
 	for _, i := range f.idx {
 		dst = append(dst, f.devices[i])
 	}
@@ -306,29 +346,29 @@ func (f *Fleet) Near(pos geo.LatLon, t time.Time, radiusM float64, dst []*Device
 // per-(tag, device) state without a map of pointers. Same ordering and
 // concurrency contract as Near.
 func (f *Fleet) NearIndices(pos geo.LatLon, t time.Time, radiusM float64, dst []int32) []int32 {
-	return f.nearIdx(&f.mark, pos, t, radiusM, dst)
+	return f.nearIdx(&f.own, pos, t, radiusM, dst)
 }
 
-// NearBrute is the reference linear roam-bound scan over every device —
-// the pre-index implementation, kept as the equivalence oracle for
-// property tests and as the recorded benchmark baseline.
+// NearBrute is the exact linear oracle: the devices active at t whose
+// position is within radiusM of pos by haversine, in ascending index
+// order. Property tests check Near against it, and the scan benchmark
+// records it as the unindexed baseline.
 func (f *Fleet) NearBrute(pos geo.LatLon, t time.Time, radiusM float64, dst []*Device) []*Device {
-	qx, qy := f.enu.Forward(pos)
-	f.idx = f.nearLinear(qx, qy, t, radiusM, f.idx[:0])
-	for _, i := range f.idx {
-		dst = append(dst, f.devices[i])
+	for _, d := range f.devices {
+		if d.Active(t) && geo.Distance(d.Pos(t), pos) <= radiusM {
+			dst = append(dst, d)
+		}
 	}
 	return dst
 }
 
-// Searcher owns the scratch space of one query stream, so several
-// goroutines can query one Fleet concurrently — each worker of the
-// region-sharded scan tick holds its own. The underlying fleet data is
-// immutable after construction; the only shared mutable state in a
-// query is scratch, which the Searcher privatizes.
+// Searcher owns the scratch space of one query stream — its hour slice
+// and bitmap — so several goroutines can query one Fleet concurrently:
+// each worker of the region-sharded scan tick holds its own. The fleet
+// itself is immutable after construction.
 type Searcher struct {
-	f    *Fleet
-	mark []uint64
+	f *Fleet
+	s slice
 }
 
 // Searcher returns a new independent query stream over the fleet.
@@ -336,46 +376,51 @@ func (f *Fleet) Searcher() *Searcher { return &Searcher{f: f} }
 
 // NearIndices is Fleet.NearIndices on this searcher's private scratch.
 func (s *Searcher) NearIndices(pos geo.LatLon, t time.Time, radiusM float64, dst []int32) []int32 {
-	return s.f.nearIdx(&s.mark, pos, t, radiusM, dst)
+	return s.f.nearIdx(&s.s, pos, t, radiusM, dst)
 }
 
 // nearIdx is the query core shared by every entry point: it appends the
-// ascending candidate indices to dst, using *mark as the grid path's
-// bitmap (caller-owned, so concurrent query streams never collide).
-func (f *Fleet) nearIdx(mark *[]uint64, pos geo.LatLon, t time.Time, radiusM float64, dst []int32) []int32 {
-	qx, qy := f.enu.Forward(pos)
-	if f.cellStart == nil {
-		return f.nearActive(qx, qy, t, radiusM, dst)
+// ascending candidate indices to dst, using s as the hour's index.
+func (f *Fleet) nearIdx(s *slice, pos geo.LatLon, t time.Time, radiusM float64, dst []int32) []int32 {
+	f.use(s, t)
+	n0 := len(dst)
+	dst = f.query(s, pos, t, radiusM, dst)
+	obsCandidates.Add(uint64(len(dst) - n0))
+	return dst
+}
+
+// query answers from the hour's index s.
+func (f *Fleet) query(s *slice, pos geo.LatLon, t time.Time, radiusM float64, dst []int32) []int32 {
+	if len(s.live) == 0 {
+		return dst
 	}
-	reach := f.roamCap + radiusM
-	cx0 := int(math.Floor((qx - reach - f.minX) / f.cellSizeM))
-	cx1 := int(math.Floor((qx + reach - f.minX) / f.cellSizeM))
-	cy0 := int(math.Floor((qy - reach - f.minY) / f.cellSizeM))
-	cy1 := int(math.Floor((qy + reach - f.minY) / f.cellSizeM))
-	if cx1 < 0 || cy1 < 0 || cx0 >= f.nx || cy0 >= f.ny {
-		// Query circle misses the whole grid; only roaming outliers can
-		// possibly reach it.
-		for _, i := range f.overflow {
-			dst = f.checkCandidate(i, qx, qy, t, radiusM, dst)
+	lonDeg := geo.LonBandDeg(pos.Lat, radiusM)
+	if math.Abs(pos.Lon)+lonDeg > 180 {
+		// The window reaches a pole or wraps the antimeridian, where
+		// the plane's x is discontinuous: test every member.
+		for _, i := range s.live {
+			if f.devices[i].Active(t) {
+				dst = append(dst, i)
+			}
 		}
 		return dst
 	}
-	cx0, cx1 = clampInt(cx0, 0, f.nx-1), clampInt(cx1, 0, f.nx-1)
-	cy0, cy1 = clampInt(cy0, 0, f.ny-1), clampInt(cy1, 0, f.ny-1)
-	if 2*(cx1-cx0+1)*(cy1-cy0+1) >= f.nx*f.ny {
-		// The query covers most of the grid (small worlds, huge radii):
-		// marking most devices would cost more than the plain scan.
-		return f.nearActive(qx, qy, t, radiusM, dst)
+	qx, qy := f.enu.Forward(pos)
+	hx, hy := lonDeg*f.mPerLonDeg, radiusM+1 // LatBandDeg(radiusM) in meters
+	w := rect{qx - hx, qy - hy, qx + hx, qy + hy}
+	cx0, cx1, cy0, cy1 := int32(cellOf(w.x0)), int32(cellOf(w.x1)), int32(cellOf(w.y0)), int32(cellOf(w.y1))
+	if float64(cx1-cx0+1)*float64(cy1-cy0+1) > float64(len(s.live)) {
+		// A window over more cells than there are members (huge
+		// radii): testing each member's box is cheaper.
+		for _, i := range s.live {
+			dst = f.admit(s, i, w, t, dst)
+		}
+		return dst
 	}
-	// Each cell's bucket is ascending, but buckets of different cells
-	// interleave. Marking every bucket's devices, and the overflow list,
-	// in one bitmap and reading it back word by word yields them in
-	// global index order — the linear scan's order, which the
-	// downstream RNG draws follow — without sorting.
-	if len(*mark) == 0 {
-		*mark = make([]uint64, (len(f.devices)+63)/64)
-	}
-	m := *mark
+	// Marking every visited bucket's devices, and the always-checked
+	// list, in one bitmap and reading it back word by word yields them
+	// in ascending index order without sorting, each once.
+	m := s.mark
 	lo, hi := len(m), -1 // range of words holding marks
 	set := func(ids []int32) {
 		if len(ids) == 0 {
@@ -387,97 +432,31 @@ func (f *Fleet) nearIdx(mark *[]uint64, pos geo.LatLon, t time.Time, radiusM flo
 		}
 	}
 	for cy := cy0; cy <= cy1; cy++ {
-		row := cy * f.nx
-		for c := row + cx0; c <= row+cx1; c++ {
-			set(f.cellIdx[f.cellStart[c]:f.cellStart[c+1]])
+		for cx := cx0; cx <= cx1; cx++ {
+			b := cellKey(cx, cy, s.shift)
+			set(s.cell[s.start[b]:s.start[b+1]])
 		}
 	}
-	set(f.overflow)
-	for w := lo; w <= hi; w++ {
-		word := m[w]
-		m[w] = 0 // leave the bitmap clear for the next query
+	set(s.check)
+	for wd := lo; wd <= hi; wd++ {
+		word := m[wd]
+		m[wd] = 0 // leave the bitmap clear for the next query
 		for word != 0 {
-			i := int32(w<<6 | bits.TrailingZeros64(word))
-			dst = f.checkCandidate(i, qx, qy, t, radiusM, dst)
+			i := int32(wd<<6 | bits.TrailingZeros64(word))
+			dst = f.admit(s, i, w, t, dst)
 			word &= word - 1
 		}
 	}
 	return dst
 }
 
-// nearActive is the linear scan the query core falls back to: over the
-// activity bucket that holds t when the fleet has buckets, over every
-// device otherwise. A device active at t has a window overlapping t's
-// bucket, so the bucket holds every candidate the full scan would admit,
-// in the same ascending order.
-func (f *Fleet) nearActive(qx, qy float64, t time.Time, radiusM float64, dst []int32) []int32 {
-	if f.actStart == nil {
-		return f.nearLinear(qx, qy, t, radiusM, dst)
-	}
-	ns := t.UnixNano()
-	if ns < f.actBase || ns >= f.actEnd {
-		return dst // before every window opens or after every one closes
-	}
-	b := (ns - f.actBase) / activityBucket
-	for _, i := range f.actIdx[f.actStart[b]:f.actStart[b+1]] {
-		dst = f.checkCandidate(i, qx, qy, t, radiusM, dst)
-	}
-	return dst
-}
-
-// nearLinear tests every device: NearBrute's scan, and the query path of
-// fleets without activity buckets.
-func (f *Fleet) nearLinear(qx, qy float64, t time.Time, radiusM float64, dst []int32) []int32 {
-	for i := range f.devices {
-		dst = f.checkCandidate(int32(i), qx, qy, t, radiusM, dst)
-	}
-	return dst
-}
-
-// checkCandidate applies the per-device admission test shared by every
-// query path: home within roam+radius of the query, and active at t.
-// The planar distance test runs first because it is three float ops
-// against Active's four time comparisons; the admission condition is a
-// commutative conjunction, so the candidate set is order-independent.
-func (f *Fleet) checkCandidate(i int32, qx, qy float64, t time.Time, radiusM float64, dst []int32) []int32 {
-	reach := f.roamM[i] + radiusM
-	if !math.IsInf(reach, 1) {
-		dx := f.xs[i] - qx
-		dy := f.ys[i] - qy
-		if dx*dx+dy*dy > reach*reach {
-			return dst
-		}
-	}
-	if f.devices[i].Active(t) {
+// admit appends member i when its box meets the query window and it is
+// active at t.
+func (f *Fleet) admit(s *slice, i int32, w rect, t time.Time, dst []int32) []int32 {
+	if s.dev[i].box.meets(w) && f.devices[i].Active(t) {
 		dst = append(dst, i)
 	}
 	return dst
-}
-
-// GridStats describes the built spatial index (diagnostics and tests).
-type GridStats struct {
-	Indexed  int     // devices bucketed into grid cells
-	Overflow int     // devices on the linear overflow list
-	Cells    int     // total grid cells (nx*ny)
-	Rows     int     // grid rows (ny) — the maximum usable scan-region count
-	CellM    float64 // cell edge length in meters
-	RoamCapM float64 // roam bound cap for grid-indexed devices
-}
-
-// GridStats reports how the fleet was indexed; a zero value means the
-// grid is absent and every query takes the linear path.
-func (f *Fleet) GridStats() GridStats {
-	if f.cellStart == nil {
-		return GridStats{}
-	}
-	return GridStats{
-		Indexed:  len(f.cellIdx),
-		Overflow: len(f.overflow),
-		Cells:    f.nx * f.ny,
-		Rows:     f.ny,
-		CellM:    f.cellSizeM,
-		RoamCapM: f.roamCap,
-	}
 }
 
 // ResetCooldowns clears reporting state on every device.

@@ -2,6 +2,7 @@ package device
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -11,25 +12,45 @@ import (
 	"tagsim/internal/trace"
 )
 
-// randomFleet builds a fleet with every roam-bound shape the simulator
-// produces: stationary homes (small bound), itineraries from short
-// wanders to long-haul rides (the roaming tail that lands in overflow),
-// unknown mobility models (infinite bound), and devices with bounded
-// active windows.
+// randomFleet builds a fleet around origin whose hours start at t0, with
+// randomFleetAt's mix of mobility shapes.
 func randomFleet(rng *rand.Rand, n int, spreadM float64) *Fleet {
+	return randomFleetAt(rng, n, spreadM, origin, t0)
+}
+
+// randomFleetAt builds a fleet with every bound shape the hour slices
+// meet: stationary homes; local wanders of short legs (gridded); transit
+// rides of 1-2 km legs with stops (gridded in quiet hours, over the
+// cutoff box in busy ones); long-haul legs over the leg cutoff; unknown
+// mobility models; and bounded active windows, opening and closing
+// mid-hour. Itineraries start within an hour of base.
+func randomFleetAt(rng *rand.Rand, n int, spreadM float64, center geo.LatLon, base time.Time) *Fleet {
 	devices := make([]*Device, n)
 	for i := range devices {
-		home := geo.Destination(origin, rng.Float64()*360, rng.Float64()*spreadM)
+		home := geo.Destination(center, rng.Float64()*360, rng.Float64()*spreadM)
+		begin := base.Add(time.Duration(rng.Int63n(int64(time.Hour))))
 		var m mobility.Model
 		switch rng.Intn(10) {
-		case 0: // unknown model: infinite roam bound
+		case 0: // unknown model: no bound
 			m = weirdModel{}
-		case 1, 2: // long-haul itinerary: outsized roam, overflow candidate
+		case 1: // long-haul leg, over the leg cutoff
 			far := geo.Destination(home, rng.Float64()*360, 5000+rng.Float64()*40000)
-			m = mobility.NewItinerary(t0,
+			m = mobility.NewItinerary(begin,
 				mobility.Move{Along: geo.Path{home, far}, SpeedKmh: 40 + rng.Float64()*40},
 				mobility.Stay{At: far, For: 4 * time.Hour},
 			)
+		case 2: // transit ride
+			var segs []mobility.Segment
+			cur := home
+			bearing := rng.Float64() * 360
+			for k := 0; k < 6; k++ {
+				next := geo.Destination(cur, bearing+rng.NormFloat64()*20, 1000+rng.Float64()*1000)
+				segs = append(segs,
+					mobility.Move{Along: geo.Path{cur, next}, SpeedKmh: 20 + rng.Float64()*30},
+					mobility.Stay{At: next, For: time.Duration(30+rng.Intn(60)) * time.Second})
+				cur = next
+			}
+			m = mobility.NewItinerary(begin, segs...)
 		case 3, 4, 5: // local wander
 			var segs []mobility.Segment
 			cur := home
@@ -40,88 +61,147 @@ func randomFleet(rng *rand.Rand, n int, spreadM float64) *Fleet {
 					mobility.Stay{At: next, For: time.Duration(1+rng.Intn(60)) * time.Minute})
 				cur = next
 			}
-			m = mobility.NewItinerary(t0, segs...)
+			m = mobility.NewItinerary(begin, segs...)
 		default:
 			m = mobility.Stationary(home)
 		}
 		d := New(fmt.Sprintf("dev-%04d", i), trace.VendorApple, home, m)
 		if rng.Intn(5) == 0 { // bounded active window
-			d.ActiveFrom = t0.Add(time.Duration(rng.Intn(120)) * time.Minute)
-			d.ActiveTo = d.ActiveFrom.Add(time.Duration(1+rng.Intn(180)) * time.Minute)
+			d.ActiveFrom = base.Add(time.Duration(rng.Int63n(int64(2 * time.Hour))))
+			d.ActiveTo = d.ActiveFrom.Add(time.Duration(1 + rng.Int63n(int64(3*time.Hour))))
 		}
 		devices[i] = d
 	}
-	return NewFleet(origin, devices)
+	return NewFleet(center, devices)
 }
 
-// TestNearGridMatchesBrute is the index's correctness property: for
-// randomized fleets, query points, radii, and times, the grid-indexed
-// Near — and the concurrent Searcher's NearIndices — return exactly the
-// brute-force scan's candidates in exactly its order, including inactive
-// devices, infinite roam bounds and fleets whose grid coexists with a
-// non-empty overflow list. Order matters: the encounter plane draws from
-// one RNG stream per scan, so a reordered candidate set would silently
-// change simulation output.
-func TestNearGridMatchesBrute(t *testing.T) {
+// coverage tallies what the property queries exercised, so a test can
+// fail when its randomization stops reaching a path.
+type coverage struct {
+	queries, candidates, active int
+	gridded, checked            int // members bucketed / always checked, summed over builds
+}
+
+// checkCovers runs one query through Near and a Searcher and checks the
+// index's contract against the exact oracle NearBrute: the candidates
+// hold every device in range, hold only devices active at the instant,
+// ascend strictly, agree between the two query streams, and leave both
+// bitmaps clear.
+func checkCovers(t *testing.T, f *Fleet, s *Searcher, pos geo.LatLon, at time.Time, radius float64, cov *coverage) {
+	t.Helper()
+	got := f.NearIndices(pos, at, radius, nil)
+	idx := s.NearIndices(pos, at, radius, nil)
+	devs := f.Devices()
+	if len(got) != len(idx) {
+		t.Fatalf("query %v at %v r=%.0f: Near %d candidates, Searcher %d", pos, at, radius, len(got), len(idx))
+	}
+	for k := range got {
+		if got[k] != idx[k] {
+			t.Fatalf("query %v at %v r=%.0f: candidate %d is %d from Near, %d from the Searcher", pos, at, radius, k, got[k], idx[k])
+		}
+		if k > 0 && got[k] <= got[k-1] {
+			t.Fatalf("query %v at %v r=%.0f: candidates not ascending: %v", pos, at, radius, got)
+		}
+		if !devs[got[k]].Active(at) {
+			t.Fatalf("query %v at %v r=%.0f: candidate %s is not active", pos, at, radius, devs[got[k]].ID)
+		}
+	}
+	k := 0
+	for _, d := range f.NearBrute(pos, at, radius, nil) {
+		for k < len(got) && devs[got[k]] != d {
+			k++
+		}
+		if k == len(got) {
+			t.Fatalf("query %v at %v r=%.0f: %s at %v (%.3f m away) is in range but not a candidate",
+				pos, at, radius, d.ID, d.Pos(at), geo.Distance(d.Pos(at), pos))
+		}
+	}
+	for w, word := range append(f.own.mark, s.s.mark...) {
+		if word != 0 {
+			t.Fatalf("query %v at %v: bitmap word %d left set", pos, at, w)
+		}
+	}
+	cov.queries++
+	cov.candidates += len(got)
+	for _, d := range devs {
+		if d.Active(at) {
+			cov.active++
+		}
+	}
+}
+
+// TestNearCoversOracle is the index's correctness property: on random
+// fleets at several latitudes (high ones included, and straddling the
+// antimeridian), at random instants, on hour boundaries and a
+// nanosecond either side, with radii from 1 m to 20 km, Near and a
+// Searcher return a superset of the devices in range, in ascending
+// order, active only. Half the queries stand on a device's own
+// position, so every bound is tested where its device really is — on
+// a leg, the great-circle bow included.
+func TestNearCoversOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
-	mixed := 0 // fleets with both grid cells and overflow devices
+	centers := []geo.LatLon{origin, {Lat: 52.52, Lon: 13.405}, {Lat: -33.87, Lon: 151.21}, {Lat: 79.5, Lon: 15.6}, {Lat: -17.7, Lon: 179.99}}
+	var cov coverage
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + rng.Intn(400)
 		spread := []float64{300, 3000, 30000}[rng.Intn(3)]
-		f := randomFleet(rng, n, spread)
-		st := f.GridStats()
-		if trial == 0 && st.Cells == 0 {
-			t.Fatal("grid was not built for the first randomized fleet")
-		}
-		if st.Cells > 0 && st.Overflow > 0 {
-			mixed++
-		}
-		devs := f.Devices()
+		center := centers[trial%len(centers)]
+		f := randomFleetAt(rng, n, spread, center, t0)
 		s := f.Searcher()
-		var idx []int32
-		for q := 0; q < 25; q++ {
-			pos := geo.Destination(origin, rng.Float64()*360, rng.Float64()*spread*1.5)
+		devs := f.Devices()
+		for q := 0; q < 40; q++ {
+			at := t0.Add(time.Duration(rng.Int63n(int64(6 * time.Hour))))
+			if q%4 == 0 {
+				at = t0.Add(time.Duration(rng.Intn(7))*time.Hour + time.Duration(rng.Intn(3)-1))
+			}
+			pos := geo.Destination(center, rng.Float64()*360, rng.Float64()*spread*1.5)
+			if q%2 == 0 {
+				pos = devs[rng.Intn(n)].Pos(at)
+			}
 			radius := []float64{1, 50, 120, 1000, 20000}[rng.Intn(5)]
-			at := t0.Add(time.Duration(rng.Intn(6*60)) * time.Minute)
-			got := f.Near(pos, at, radius, nil)
-			want := f.NearBrute(pos, at, radius, nil)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d query %d (n=%d spread=%.0f r=%.0f): grid %d candidates, brute %d",
-					trial, q, n, spread, radius, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d query %d: candidate %d is %s, brute has %s (order or set diverged)",
-						trial, q, i, got[i].ID, want[i].ID)
-				}
-			}
-			idx = s.NearIndices(pos, at, radius, idx[:0])
-			if len(idx) != len(want) {
-				t.Fatalf("trial %d query %d: searcher %d candidates, brute %d", trial, q, len(idx), len(want))
-			}
-			for i, di := range idx {
-				if devs[di] != want[i] {
-					t.Fatalf("trial %d query %d: searcher candidate %d is %s, brute has %s",
-						trial, q, i, devs[di].ID, want[i].ID)
-				}
-			}
-			// The grid path must hand its bitmap back clear, or the next
-			// query tests stale devices.
-			for w, word := range append(f.mark, s.mark...) {
-				if word != 0 {
-					t.Fatalf("trial %d query %d: bitmap word %d left set after the query", trial, q, w)
-				}
-			}
+			checkCovers(t, f, s, pos, at, radius, &cov)
+			cov.gridded += len(s.s.grid)
+			cov.checked += len(s.s.check)
 		}
 	}
-	if mixed == 0 {
-		t.Error("no randomized fleet combined grid cells with a non-empty overflow list")
+	if cov.gridded == 0 || cov.checked == 0 {
+		t.Errorf("queries met %d gridded and %d always-checked members; want both", cov.gridded, cov.checked)
+	}
+	if cov.candidates*2 > cov.active {
+		t.Errorf("the index pruned little: %d candidates for %d active devices over %d queries", cov.candidates, cov.active, cov.queries)
 	}
 }
 
-// TestNearGridOverflowOnly: a fleet whose every member has an unbounded
-// roam builds no grid, and the nil-grid linear fallback must still
-// answer correctly.
+// TestNearBeforeEpoch: hours before 1970 floor rather than truncate,
+// and itineraries and windows straddling the epoch are still covered.
+func TestNearBeforeEpoch(t *testing.T) {
+	if h := sliceOf(time.Unix(0, -1)); h != -1 {
+		t.Fatalf("sliceOf(-1 ns) = %d, want -1", h)
+	}
+	if h := sliceOf(time.Unix(0, -sliceNs)); h != -1 {
+		t.Fatalf("sliceOf(-1 h) = %d, want -1", h)
+	}
+	base := time.Unix(0, 0).Add(-2 * time.Hour)
+	rng := rand.New(rand.NewSource(1970))
+	var cov coverage
+	for trial := 0; trial < 20; trial++ {
+		f := randomFleetAt(rng, 1+rng.Intn(300), 3000, origin, base)
+		s := f.Searcher()
+		devs := f.Devices()
+		for q := 0; q < 40; q++ {
+			at := base.Add(time.Duration(rng.Intn(5))*time.Hour + time.Duration(rng.Intn(3)-1))
+			if q%2 == 0 {
+				at = base.Add(time.Duration(rng.Int63n(int64(4 * time.Hour))))
+			}
+			pos := devs[rng.Intn(len(devs))].Pos(at)
+			checkCovers(t, f, s, pos, at, []float64{1, 120, 2000}[rng.Intn(3)], &cov)
+		}
+	}
+}
+
+// TestNearGridOverflowOnly: a fleet whose every member has an unknown
+// mobility model grids nobody, and the always-checked list must still
+// answer everywhere.
 func TestNearGridOverflowOnly(t *testing.T) {
 	devices := []*Device{}
 	for i := 0; i < 8; i++ {
@@ -129,11 +209,11 @@ func TestNearGridOverflowOnly(t *testing.T) {
 		devices = append(devices, d)
 	}
 	f := NewFleet(origin, devices)
-	if st := f.GridStats(); st.Cells != 0 {
-		t.Fatalf("grid built over an all-unbounded fleet: %+v", st)
-	}
 	if got := f.Near(origin, t0, 100, nil); len(got) != 8 {
-		t.Errorf("linear fallback lost devices, got %d/8", len(got))
+		t.Errorf("always-checked devices lost, got %d/8", len(got))
+	}
+	if len(f.own.grid) != 0 || len(f.own.check) != 8 {
+		t.Fatalf("hour slice grids %d and checks %d devices, want 0 and 8", len(f.own.grid), len(f.own.check))
 	}
 	far := geo.Destination(origin, 45, 1e6)
 	if got := f.Near(far, t0, 10, nil); len(got) != 8 {
@@ -158,13 +238,12 @@ func TestNearAllocationFree(t *testing.T) {
 }
 
 // windowedFleet builds a fleet in which every device has a bounded
-// active window — the shape that gets activity buckets. Device 0 opens
-// at t0, so bucket edges fall on t0 + k hours; windows start on, just
-// before and just after those edges and last from a minute to five
-// hours, so many straddle one or several edges. A few windows are empty
-// (ActiveTo not after ActiveFrom). spreadM 30 is the cafeteria (one
-// grid cell, every query on the linear path); larger spreads mix grid
-// and linear queries.
+// active window, as the cafeteria's visits do. t0 is on an hour, so
+// slice edges fall on t0 + k hours; windows start on, just before and
+// just after those edges and last from a minute to five hours, so many
+// straddle one or several edges. A few windows are empty (ActiveTo not
+// after ActiveFrom). spreadM 30 is the cafeteria (every visitor in one
+// cell); larger spreads spread them over cells.
 func windowedFleet(rng *rand.Rand, n int, spreadM float64) *Fleet {
 	devices := make([]*Device, n)
 	for i := range devices {
@@ -195,20 +274,18 @@ func windowedFleet(rng *rand.Rand, n int, spreadM float64) *Fleet {
 	return NewFleet(origin, devices)
 }
 
-// TestNearActivityMatchesBrute is the activity index's correctness
-// property: on fully windowed random fleets, Near and a Searcher return
-// exactly NearBrute's candidates in NearBrute's order at window opens
-// (active), window closes (inactive), a nanosecond either side, bucket
-// edges, before the first window and after the last.
-func TestNearActivityMatchesBrute(t *testing.T) {
+// TestNearWindowedCoversOracle: on fully windowed random fleets (the
+// cafeteria's shape), Near covers the oracle at window opens (active),
+// window closes (inactive), a nanosecond either side, hour edges, before
+// the first window and after the last.
+func TestNearWindowedCoversOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
+	var cov coverage
+	members, devices := 0, 0
 	for trial := 0; trial < 40; trial++ {
 		n := 1 + rng.Intn(600)
 		spread := []float64{30, 30, 3000}[rng.Intn(3)]
 		f := windowedFleet(rng, n, spread)
-		if f.actStart == nil {
-			t.Fatalf("trial %d: no activity buckets on a fully windowed fleet", trial)
-		}
 		devs := f.Devices()
 		last := t0
 		for _, d := range devs {
@@ -224,32 +301,18 @@ func TestNearActivityMatchesBrute(t *testing.T) {
 		}
 		at = append(at, t0.Add(-time.Minute), t0.Add(-1), last.Add(-1), last, last.Add(time.Hour))
 		s := f.Searcher()
-		var idx []int32
-		for q, when := range at {
+		for _, when := range at {
 			pos := geo.Destination(origin, rng.Float64()*360, rng.Float64()*spread*1.5)
 			radius := []float64{1, 50, 120, 20000}[rng.Intn(4)]
-			want := f.NearBrute(pos, when, radius, nil)
-			got := f.Near(pos, when, radius, nil)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d query %d (n=%d t=%v r=%.0f): Near %d candidates, brute %d",
-					trial, q, n, when, radius, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d query %d: candidate %d is %s, brute has %s", trial, q, i, got[i].ID, want[i].ID)
-				}
-			}
-			idx = s.NearIndices(pos, when, radius, idx[:0])
-			if len(idx) != len(want) {
-				t.Fatalf("trial %d query %d: searcher %d candidates, brute %d", trial, q, len(idx), len(want))
-			}
-			for i, di := range idx {
-				if devs[di] != want[i] {
-					t.Fatalf("trial %d query %d: searcher candidate %d is %s, brute has %s",
-						trial, q, i, devs[di].ID, want[i].ID)
-				}
-			}
+			checkCovers(t, f, s, pos, when, radius, &cov)
+			members += len(s.s.live)
+			devices += n
 		}
+	}
+	// Visits last at most five hours of the fleet's two days, so an
+	// hour's slice should leave most of them out.
+	if members*4 > devices {
+		t.Errorf("hour slices held %d members over queries totalling %d devices", members, devices)
 	}
 }
 
@@ -262,9 +325,6 @@ func TestNearActivityBoundaries(t *testing.T) {
 	b := New("b", trace.VendorApple, origin, mobility.Stationary(origin))
 	b.ActiveFrom, b.ActiveTo = t0.Add(time.Hour), t0.Add(3*time.Hour)
 	f := NewFleet(origin, []*Device{a, b})
-	if f.actStart == nil {
-		t.Fatal("no activity buckets")
-	}
 	for _, tc := range []struct {
 		at   time.Time
 		want string
@@ -289,20 +349,39 @@ func TestNearActivityBoundaries(t *testing.T) {
 	}
 }
 
-// TestNearActivityNeedsEveryWindow: one device without a window, or
-// windows so long that the buckets would hold more than
-// maxActivityFanout entries per device, leave the fleet unbucketed.
-func TestNearActivityNeedsEveryWindow(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	f := windowedFleet(rng, 50, 30)
-	devs := append([]*Device(nil), f.Devices()...)
-	devs = append(devs, New("resident", trace.VendorApple, origin, mobility.Stationary(origin)))
-	if NewFleet(origin, devs).actStart != nil {
-		t.Error("activity buckets built although one device has no window")
+// TestNearWindowEdges puts devices just inside the radius in every
+// direction of queries a few degrees of latitude from a high-latitude
+// origin, where the plane's east-west scale is off by several percent,
+// and a device mid-way along an east-west leg whose great circle bows
+// poleward of its endpoints' latitudes, queried at its own position
+// with a radius under the bow.
+func TestNearWindowEdges(t *testing.T) {
+	center := geo.LatLon{Lat: 70, Lon: 20}
+	for _, lat := range []float64{67.5, 69.9, 70, 71, 72.5} {
+		for _, r := range []float64{1, 120, 2000, 20000} {
+			q := geo.LatLon{Lat: lat, Lon: 21.3}
+			var devices []*Device
+			for k := 0; k < 16; k++ {
+				p := geo.Destination(q, float64(k)*22.5, r*(1-1e-6))
+				devices = append(devices, New(fmt.Sprintf("edge-%d", k), trace.VendorApple, p, mobility.Stationary(p)))
+			}
+			f := NewFleet(center, devices)
+			var cov coverage
+			checkCovers(t, f, f.Searcher(), q, t0, r, &cov)
+			if cov.candidates != cov.active {
+				t.Fatalf("lat %v r %v: %d of %d devices just inside the radius are candidates", lat, r, cov.candidates, cov.active)
+			}
+		}
 	}
-	long := New("long", trace.VendorApple, origin, mobility.Stationary(origin))
-	long.ActiveFrom, long.ActiveTo = t0, t0.Add(time.Duration(maxActivityFanout+1)*time.Hour)
-	if NewFleet(origin, []*Device{long}).actStart != nil {
-		t.Error("activity buckets built past maxActivityFanout entries per device")
+
+	west, east := geo.LatLon{Lat: 79, Lon: 15}, geo.LatLon{Lat: 79, Lon: 15.113} // 2.4 km apart
+	leg := mobility.NewItinerary(t0, mobility.Move{Along: geo.Path{west, east}, SpeedKmh: 4.8})
+	mid := t0.Add(leg.End().Sub(t0) / 2)
+	if bow := (leg.Pos(mid).Lat - max(west.Lat, east.Lat)) * math.Pi / 180 * geo.EarthRadiusMeters; bow < 0.3 {
+		t.Fatalf("the leg bows only %.3f m past its endpoints", bow)
+	}
+	f := NewFleet(west, []*Device{New("leg", trace.VendorApple, west, leg)})
+	if got := f.NearIndices(leg.Pos(mid), mid, 0.1, nil); len(got) != 1 {
+		t.Fatalf("a device mid-leg is not a candidate at its own position")
 	}
 }

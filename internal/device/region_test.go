@@ -13,12 +13,9 @@ import (
 	"tagsim/internal/trace"
 )
 
-// bandFleet builds a fleet whose grid has many rows: almost entirely
-// stationary homes (tiny roam bound -> small cells) spread over a wide
-// disk, plus a sprinkle of long-haul commuters for the overflow list.
-// randomFleet is unsuitable here — its 20% roaming tail drags the
-// 99th-percentile roam cap (and so the cell size) up to tens of km,
-// collapsing the grid to a single row.
+// bandFleet builds a fleet whose homes span many slice-grid rows:
+// almost entirely stationary homes spread over a wide disk, plus a
+// sprinkle of long-haul commuters.
 func bandFleet(rng *rand.Rand, n int, spreadM float64) *Fleet {
 	devices := make([]*Device, n)
 	for i := range devices {
@@ -46,9 +43,9 @@ func bandFleet(rng *rand.Rand, n int, spreadM float64) *Fleet {
 func TestRegionsPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	f := bandFleet(rng, 500, 8000)
-	rows := f.GridStats().Rows
+	rows := f.rows
 	if rows < 2 {
-		t.Fatalf("fleet grid has %d rows; want a multi-row grid for this test", rows)
+		t.Fatalf("fleet homes span %d rows; want several for this test", rows)
 	}
 	for _, n := range []int{1, 2, 3, 7, rows - 1, rows, rows + 5} {
 		r := f.Regions(n)
@@ -59,7 +56,7 @@ func TestRegionsPartition(t *testing.T) {
 			t.Errorf("Regions(%d) produced %d bands, more than requested", n, r.Count())
 		}
 		if r.Count() > rows {
-			t.Errorf("Regions(%d) produced %d bands for a %d-row grid", n, r.Count(), rows)
+			t.Errorf("Regions(%d) produced %d bands over %d rows", n, r.Count(), rows)
 		}
 		seen := make(map[int]bool)
 		for i := 0; i < 500; i++ {
@@ -73,7 +70,7 @@ func TestRegionsPartition(t *testing.T) {
 		// Walking south-to-north in half-cell steps hits every row, so
 		// every band (a contiguous row range) must be seen, and the band
 		// sequence must be non-decreasing.
-		cell := f.GridStats().CellM
+		cell := sliceCellM
 		last := 0
 		for d := -10000.0; d <= 10000; d += cell / 2 {
 			bearing := 0.0 // north of origin
@@ -93,13 +90,13 @@ func TestRegionsPartition(t *testing.T) {
 	}
 }
 
-// TestRegionsDegenerate checks gridless and single-band cases collapse to
+// TestRegionsDegenerate checks empty and single-band cases collapse to
 // one region.
 func TestRegionsDegenerate(t *testing.T) {
-	f := NewFleet(origin, nil) // no devices -> no grid
+	f := NewFleet(origin, nil) // no devices -> no rows
 	r := f.Regions(8)
 	if r.Count() != 1 || r.Of(origin) != 0 {
-		t.Fatalf("gridless fleet: Count=%d Of=%d", r.Count(), r.Of(origin))
+		t.Fatalf("empty fleet: Count=%d Of=%d", r.Count(), r.Of(origin))
 	}
 	rng := rand.New(rand.NewSource(8))
 	f2 := randomFleet(rng, 200, 5000)
@@ -153,7 +150,7 @@ func TestSearcherMatchesNear(t *testing.T) {
 }
 
 // TestNearIndicesMatchesNear pins the fleet-level index query to Near on
-// uneven radii, including the overflow-only path.
+// uneven radii.
 func TestNearIndicesMatchesNear(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	f := randomFleet(rng, 300, 4000)

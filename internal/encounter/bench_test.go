@@ -19,9 +19,9 @@ import (
 // benchFleet builds a city-shaped fleet of n devices at constant density
 // (the disk grows with n, as fleets grow by covering more ground): 84%
 // stationary homes, 15% short local wanderers, and 1% metro commuters
-// whose outsized roam lands them on the index's overflow list — active
-// only during a staggered one-hour ride window, like the campaign's
-// co-travelers.
+// whose legs over the cutoff put them on the hour slice's always-checked
+// list — active only during a staggered one-hour ride window, like the
+// campaign's co-travelers.
 func benchFleet(n int) []*device.Device {
 	rng := rand.New(rand.NewSource(int64(n)))
 	radius := 2000 * math.Sqrt(float64(n)/600)
@@ -31,7 +31,7 @@ func benchFleet(n int) []*device.Device {
 		var m mobility.Model
 		var commuter bool
 		switch {
-		case i%100 == 0: // 1%: metro commuter, overflow material
+		case i%100 == 0: // 1%: metro commuter, always checked while active
 			commuter = true
 			far := geo.Destination(home, rng.Float64()*360, 5000+rng.Float64()*10000)
 			m = mobility.NewItinerary(t0,
@@ -80,8 +80,9 @@ func benchTags(nTags int, diskM float64) ([]*tag.Tag, map[trace.Vendor]*cloud.Se
 	return tags, map[trace.Vendor]*cloud.Service{trace.VendorApple: apple, trace.VendorSamsung: samsung}
 }
 
-// legacyScanOnce reproduces the seed implementation's hot path verbatim:
-// the brute-force linear candidate scan, a freshly formatted stream name,
+// legacyScanOnce reproduces the seed implementation's hot path: a
+// linear scan of every device (NearBrute, which now also measures each
+// one's distance, as the seed's per-candidate loop did), a freshly formatted stream name,
 // and a freshly allocated rand.Rand per (tag, tick) — the pre-refactor
 // baseline that BENCH_scan.json's "before" numbers record. The
 // per-candidate radio/strategy/report pipeline is byte-for-byte the

@@ -10,8 +10,8 @@
 // event queue without changing any measured quantity.
 //
 // With Config.ScanWorkers > 1 a single world's tick is sharded across
-// grid regions: tags are grouped by the row band of the fleet grid under
-// their current position, each band scans on a pooled worker, and report
+// regions: tags are grouped by the band of fleet grid rows under their
+// current position, each band scans on a pooled worker, and report
 // deliveries are deferred and replayed in global tag order. Tags are the
 // unit of parallelism because each (tag, tick) owns an independent named
 // RNG stream; within one tag the draw sequence is data-dependent and
@@ -53,13 +53,13 @@ type Config struct {
 	CrossEcosystem bool
 	// Receiver is the scanning radio model (defaults to a typical phone).
 	Receiver ble.Receiver
-	// ScanWorkers shards the scan tick across grid regions on a reusable
+	// ScanWorkers shards the scan tick across fleet regions on a reusable
 	// worker pool (<= 1 runs the serial tick, the reference the sharded
 	// tick is tested against). Output is byte-identical at any value;
 	// see the package comment.
 	ScanWorkers int
-	// ScanRegions overrides how many grid-row bands the fleet is cut
-	// into (0 = 4x ScanWorkers, clamped to the grid's rows). More
+	// ScanRegions overrides how many row bands the fleet is cut into
+	// (0 = 4x ScanWorkers, clamped to the rows its homes span). More
 	// regions than workers lets the in-order job claim balance uneven
 	// tag clustering.
 	ScanRegions int
@@ -166,9 +166,6 @@ func New(cfg Config, e *sim.Engine, fleet *device.Fleet, tags []*tag.Tag, servic
 	for i, tg := range tags {
 		tagSeed[i] = e.StreamSeed().String("encounter/").String(tg.ID).String("/")
 	}
-	// Overflow accumulates across worlds: each plane contributes the tags
-	// its fleet's grid index could not cell-bound.
-	obsOverflow.Add(uint64(fleet.GridStats().Overflow))
 	p := &Plane{
 		cfg:       cfg,
 		bandDeg:   geo.LatBandDeg(cfg.MaxRangeM),
@@ -240,7 +237,6 @@ var (
 	obsHeard      = obs.GetCounter("encounter_heard_total")
 	obsReported   = obs.GetCounter("encounter_reported_total")
 	obsDelivered  = obs.GetCounter("encounter_delivered_total")
-	obsOverflow   = obs.GetCounter("encounter_grid_overflow_total")
 	obsRegionScan = obs.GetHistogram("encounter_region_scan_seconds")
 )
 
@@ -311,12 +307,12 @@ func (p *Plane) scanSharded(now time.Time) {
 // deferred on the sharded path. The draw sequence is identical either
 // way — emit performs no RNG draws.
 //
-// Most candidates are out of range: the fleet bounds them by their
-// home, not their position now. No draw happens before the range test,
-// so a candidate outside the tag's latitude band (geo.LatBandDeg) is
-// dropped before the haversine, and the (tag, tick) stream is seeded
-// only when the first candidate passes; neither shortcut changes a
-// draw.
+// Many candidates are out of range: the fleet bounds them by where they
+// can be during the hour, not where they are now. No draw happens
+// before the range test, so a candidate outside the tag's latitude band
+// (geo.LatBandDeg) is dropped before the haversine, and the (tag, tick)
+// stream is seeded only when the first candidate passes; neither
+// shortcut changes a draw.
 func (p *Plane) scanTag(ws *scanScratch, ti int, tg *tag.Tag, now time.Time, tagPos geo.LatLon, emit func(int, pendingReport)) {
 	beacons := tg.ExpectedBeacons(p.cfg.ScanInterval)
 	// Count whole beacons and carry the fractional mass to the next tick,

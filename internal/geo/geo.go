@@ -94,6 +94,23 @@ func LatBandDeg(radiusM float64) float64 {
 	return (radiusM + 1) / EarthRadiusMeters * 180 / math.Pi
 }
 
+// LonBandDeg is LatBandDeg's longitude counterpart: the longitude
+// difference, in degrees, beyond which a point is certainly more than
+// radiusM from a point at latitude lat. The points within angular
+// distance δ of a point at latitude φ span the longitudes
+// ±asin(sin δ / cos φ) around it, so with δ = (radiusM + 1 m)/R the
+// band holds every point Distance puts within radiusM, float error
+// included. It returns +Inf when the cap reaches a pole, where every
+// longitude is that close.
+func LonBandDeg(lat, radiusM float64) float64 {
+	delta := (radiusM + 1) / EarthRadiusMeters
+	s := math.Sin(delta) / math.Cos(lat*math.Pi/180)
+	if delta >= math.Pi/2 || !(s < 1) {
+		return math.Inf(1)
+	}
+	return math.Asin(s) * 180 / math.Pi
+}
+
 // Bearing returns the initial great-circle bearing from p to q in degrees
 // clockwise from north, in [0, 360).
 func Bearing(p, q LatLon) float64 {
@@ -143,6 +160,11 @@ func Lerp(p, q LatLon, t float64) LatLon {
 	if d == 0 {
 		return p
 	}
+	return lerpDist(p, q, d, t)
+}
+
+// lerpDist is Lerp for a caller that already holds d = Distance(p, q) > 0.
+func lerpDist(p, q LatLon, d, t float64) LatLon {
 	return Destination(p, Bearing(p, q), d*t)
 }
 
@@ -283,7 +305,8 @@ func (p Path) At(distanceM float64) LatLon {
 			if seg == 0 {
 				return p[i]
 			}
-			return Lerp(p[i-1], p[i], remaining/seg)
+			// seg is the Distance Lerp would compute again.
+			return lerpDist(p[i-1], p[i], seg, remaining/seg)
 		}
 		remaining -= seg
 	}

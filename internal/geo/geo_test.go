@@ -329,3 +329,78 @@ func TestLatBandRejectsOnlyOutOfRange(t *testing.T) {
 		t.Fatalf("only %d pairs checked past the band edge", checked)
 	}
 }
+
+// TestLonBandRejectsOnlyOutOfRange: a point whose longitude differs
+// from q's by more than LonBandDeg(q.Lat, r) must be more than r from q,
+// wherever its latitude lies. Pairs sit just past the band edge at every
+// latitude across the cap, at the equator, mid latitudes and near the
+// poles, and across the antimeridian.
+func TestLonBandRejectsOnlyOutOfRange(t *testing.T) {
+	checked := 0
+	for _, r := range []float64{1, 120, 1000, 20000} {
+		for _, lat := range []float64{0, 24.45, -47.4, 60, 80, -84.99, 89.8} {
+			band := LonBandDeg(lat, r)
+			if math.IsInf(band, 1) {
+				continue
+			}
+			for _, lon := range []float64{0, 54.38, 179.9999, -179.9999} {
+				q := LatLon{Lat: lat, Lon: lon}
+				for _, over := range []float64{1e-12, 1e-9, 1e-6, 1e-3} {
+					for _, sign := range []float64{1, -1} {
+						for k := -8; k <= 8; k++ {
+							p := LatLon{
+								Lat: math.Max(-90, math.Min(90, lat+float64(k)/8*LatBandDeg(r))),
+								Lon: NormalizeLon(lon + sign*band*(1+over)),
+							}
+							checked++
+							if d := min(Distance(p, q), Distance(q, p)); d <= r {
+								t.Fatalf("r=%v: %v and %v are outside the band (%.9f°) but %.6f m apart", r, p, q, band, d)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if checked < 1000 {
+		t.Fatalf("only %d pairs checked past the band edge", checked)
+	}
+	if !math.IsInf(LonBandDeg(89.9999, 120), 1) || !math.IsInf(LonBandDeg(-90, 1), 1) {
+		t.Error("a cap that reaches a pole must span every longitude")
+	}
+	if b := LonBandDeg(0, 120); math.Abs(b-LatBandDeg(120)) > 1e-12 {
+		t.Errorf("at the equator the bands agree: lon %v, lat %v", b, LatBandDeg(120))
+	}
+}
+
+// TestPathAtMatchesLerp pins Path.At, which hands the leg length it has
+// already computed to the interpolation, to the Lerp it replaced, bit
+// for bit: on random legs (zero-length ones included) at distances
+// before, along, on the end of and past the leg.
+func TestPathAtMatchesLerp(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	same := func(a, b LatLon) bool {
+		return math.Float64bits(a.Lat) == math.Float64bits(b.Lat) && math.Float64bits(a.Lon) == math.Float64bits(b.Lon)
+	}
+	for trial := 0; trial < 20000; trial++ {
+		p := LatLon{Lat: rng.Float64()*170 - 85, Lon: rng.Float64()*360 - 180}
+		q := p
+		if trial%10 != 0 {
+			q = Destination(p, rng.Float64()*360, rng.ExpFloat64()*2000)
+		}
+		seg := Distance(p, q)
+		path := Path{p, q}
+		for _, d := range []float64{-1, 0, rng.Float64() * seg, seg / 2, seg, seg + 1e-9, seg + 1} {
+			want := q // past the leg, or along a zero-length leg
+			switch {
+			case d <= 0:
+				want = p
+			case d <= seg && seg > 0:
+				want = Lerp(p, q, d/seg)
+			}
+			if got := path.At(d); !same(got, want) {
+				t.Fatalf("trial %d: leg %v→%v (%.9f m) At(%v) = %v, want %v", trial, p, q, seg, d, got, want)
+			}
+		}
+	}
+}

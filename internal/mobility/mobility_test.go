@@ -106,8 +106,8 @@ func TestItinerarySkipsDegenerateSegments(t *testing.T) {
 		Move{Along: geo.Path{origin}, SpeedKmh: 5},
 		Stay{At: origin, For: time.Minute},
 	)
-	if len(it.segments) != 1 {
-		t.Errorf("kept %d segments, want 1", len(it.segments))
+	if len(it.rows) != 1 {
+		t.Errorf("kept %d segments, want 1", len(it.rows))
 	}
 }
 
@@ -141,8 +141,8 @@ func TestItineraryDistances(t *testing.T) {
 	}
 }
 
-// glide is a Segment other than Stay and Move: MaxDistanceFrom must
-// fall back to its start and end positions.
+// glide is a Segment other than Stay and Move: the table keeps it whole
+// on the side, and Extent cannot bound it.
 type glide struct{ from, to geo.LatLon }
 
 func (g glide) Duration() time.Duration { return time.Minute }
@@ -154,59 +154,219 @@ func (g glide) PosAt(elapsed time.Duration) geo.LatLon {
 }
 func (g glide) End() geo.LatLon { return g.to }
 
-// TestMaxDistanceFromMatchesWaypoints pins MaxDistanceFrom to its
-// definition: the maximum over the itinerary's waypoints, collected in
-// segment order (every Move vertex, every Stay, the endpoints of any
-// other segment), of the distance from the query point.
-func TestMaxDistanceFromMatchesWaypoints(t *testing.T) {
-	waypoints := func(it *Itinerary) []geo.LatLon {
-		var out []geo.LatLon
-		for _, s := range it.segments {
-			switch seg := s.(type) {
-			case Stay:
-				out = append(out, seg.At)
-			case Move:
-				out = append(out, seg.Along...)
-			default:
-				out = append(out, seg.PosAt(0), seg.End())
+// segItinerary is the segment-slice representation the compact table
+// replaced, kept as its oracle: NewItinerary, Pos, TotalDistanceM and
+// DistanceByClass as they read before the table.
+type segItinerary struct {
+	start    time.Time
+	segments []Segment
+	offsets  []time.Duration
+	total    time.Duration
+}
+
+func newSegItinerary(start time.Time, segments ...Segment) *segItinerary {
+	it := &segItinerary{start: start}
+	for _, s := range segments {
+		d := s.Duration()
+		if d <= 0 {
+			continue
+		}
+		it.offsets = append(it.offsets, it.total)
+		it.segments = append(it.segments, s)
+		it.total += d
+	}
+	return it
+}
+
+func (it *segItinerary) Pos(t time.Time) geo.LatLon {
+	if len(it.segments) == 0 {
+		return geo.LatLon{}
+	}
+	if !t.After(it.start) {
+		return it.segments[0].PosAt(0)
+	}
+	elapsed := t.Sub(it.start)
+	if elapsed >= it.total {
+		return it.segments[len(it.segments)-1].End()
+	}
+	lo, hi := 0, len(it.segments)-1
+	for lo < hi {
+		mid := (lo + hi + 1) / 2
+		if it.offsets[mid] <= elapsed {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	return it.segments[lo].PosAt(elapsed - it.offsets[lo])
+}
+
+func (it *segItinerary) TotalDistanceM() float64 {
+	var total float64
+	for _, s := range it.segments {
+		if m, ok := s.(Move); ok {
+			total += m.Along.Length()
+		}
+	}
+	return total
+}
+
+func (it *segItinerary) DistanceByClass() map[SpeedClass]float64 {
+	out := make(map[SpeedClass]float64)
+	for _, s := range it.segments {
+		if m, ok := s.(Move); ok {
+			out[ClassifySpeed(m.SpeedKmh)] += m.Along.Length()
+		}
+	}
+	return out
+}
+
+// randomSegments draws an itinerary's input with every shape the table
+// encodes differently: Stays, Moves chained onto the previous segment's
+// end (and the first Move, which has none), Moves that start elsewhere,
+// multi-point Moves, glides, and degenerate segments NewItinerary skips.
+func randomSegments(rng *rand.Rand) []Segment {
+	var segs []Segment
+	cur := geo.Destination(origin, rng.Float64()*360, rng.Float64()*5000)
+	for k := rng.Intn(12); k >= 0; k-- {
+		next := geo.Destination(cur, rng.Float64()*360, rng.ExpFloat64()*1500)
+		speed := 2 + rng.Float64()*40
+		switch rng.Intn(9) {
+		case 0, 1:
+			segs = append(segs, Stay{At: cur, For: time.Duration(1+rng.Int63n(int64(2*time.Hour))) * time.Nanosecond})
+			continue
+		case 2, 3, 4: // chained onto the previous segment's end
+			segs = append(segs, Move{Along: geo.Path{cur, next}, SpeedKmh: speed})
+		case 5: // starts elsewhere
+			from := geo.Destination(cur, rng.Float64()*360, 1+rng.Float64()*300)
+			segs = append(segs, Move{Along: geo.Path{from, next}, SpeedKmh: speed})
+		case 6: // multi-point
+			mid := geo.Destination(cur, rng.Float64()*360, rng.Float64()*800)
+			segs = append(segs, Move{Along: geo.Path{cur, mid, next}, SpeedKmh: speed})
+		case 7:
+			segs = append(segs, glide{from: cur, to: next})
+		default: // degenerate: skipped, and the next Move chains past it
+			segs = append(segs, Stay{At: next, For: 0}, Move{Along: geo.Path{cur, next}}, Move{Along: geo.Path{cur}, SpeedKmh: speed})
+			continue
+		}
+		cur = next
+	}
+	return segs
+}
+
+// TestItineraryMatchesSegmentOracle pins the compact table to the
+// segment slice it replaced, bit for bit: Pos before the start, at,
+// just before and just after every segment boundary, inside every
+// segment and after the end, and TotalDistanceM and DistanceByClass.
+func TestItineraryMatchesSegmentOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	same := func(a, b geo.LatLon) bool {
+		return math.Float64bits(a.Lat) == math.Float64bits(b.Lat) && math.Float64bits(a.Lon) == math.Float64bits(b.Lon)
+	}
+	chained, side := 0, 0
+	for trial := 0; trial < 400; trial++ {
+		segs := randomSegments(rng)
+		it, want := NewItinerary(start, segs...), newSegItinerary(start, segs...)
+		if len(it.rows) != len(want.segments) || it.total != want.total {
+			t.Fatalf("trial %d: %d rows over %v, oracle %d segments over %v", trial, len(it.rows), it.total, len(want.segments), want.total)
+		}
+		for _, r := range it.rows {
+			switch {
+			case r.speed > 0:
+				chained++
+			case r.speed < 0:
+				side++
 			}
 		}
-		return out
-	}
-	rng := rand.New(rand.NewSource(11))
-	if d := NewItinerary(start).MaxDistanceFrom(origin); d != 0 {
-		t.Fatalf("empty itinerary: MaxDistanceFrom = %v, want 0", d)
-	}
-	for trial := 0; trial < 200; trial++ {
-		var segs []Segment
-		cur := origin
-		for k := rng.Intn(6); k >= 0; k-- {
-			next := geo.Destination(origin, rng.Float64()*360, rng.Float64()*20000)
-			switch rng.Intn(3) {
-			case 0:
-				segs = append(segs, Stay{At: next, For: time.Duration(1+rng.Intn(90)) * time.Minute})
-			case 1:
-				mid := geo.Destination(cur, rng.Float64()*360, rng.Float64()*5000)
-				segs = append(segs, Move{Along: geo.Path{cur, mid, next}, SpeedKmh: 3 + rng.Float64()*60})
-			default:
-				segs = append(segs, glide{from: cur, to: next})
+		at := []time.Time{start.Add(-time.Hour), start.Add(-1), start, start.Add(1), it.End(), it.End().Add(time.Hour)}
+		for k, off := range want.offsets {
+			end := want.total
+			if k+1 < len(want.offsets) {
+				end = want.offsets[k+1]
 			}
-			cur = next
+			at = append(at, start.Add(off-1), start.Add(off), start.Add(off+1),
+				start.Add(off+time.Duration(rng.Int63n(int64(end-off)))), start.Add(end-1))
+		}
+		for _, when := range at {
+			if got, w := it.Pos(when), want.Pos(when); !same(got, w) {
+				t.Fatalf("trial %d: Pos(start%+v) = %v, oracle %v", trial, when.Sub(start), got, w)
+			}
+		}
+		if got, w := it.TotalDistanceM(), want.TotalDistanceM(); math.Float64bits(got) != math.Float64bits(w) {
+			t.Fatalf("trial %d: TotalDistanceM = %v, oracle %v", trial, got, w)
+		}
+		got, w := it.DistanceByClass(), want.DistanceByClass()
+		if len(got) != len(w) {
+			t.Fatalf("trial %d: DistanceByClass = %v, oracle %v", trial, got, w)
+		}
+		for c, m := range w {
+			if math.Float64bits(got[c]) != math.Float64bits(m) {
+				t.Fatalf("trial %d: DistanceByClass[%v] = %v, oracle %v", trial, c, got[c], m)
+			}
+		}
+	}
+	if chained == 0 || side == 0 {
+		t.Fatalf("randomized itineraries lack a row kind: %d chained moves, %d side segments", chained, side)
+	}
+}
+
+// TestItineraryExtentHoldsPositions: every position an itinerary takes
+// in a window lies in Extent's box, up to the great-circle bow of a leg
+// no longer than the reported longest. Only a glide, which nothing
+// bounds, makes Extent fail.
+func TestItineraryExtentHoldsPositions(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const mPerDeg = geo.EarthRadiusMeters * math.Pi / 180
+	failed := 0
+	for trial := 0; trial < 300; trial++ {
+		segs := randomSegments(rng)
+		hasGlide := false
+		for _, s := range segs {
+			_, g := s.(glide)
+			hasGlide = hasGlide || g
 		}
 		it := NewItinerary(start, segs...)
-		p := geo.Destination(origin, rng.Float64()*360, rng.Float64()*10000)
-		want := 0.0
-		for _, wp := range waypoints(it) {
-			if d := geo.Distance(p, wp); d > want {
-				want = d
+		for k := 0; k < 20 && it.total > 1; k++ {
+			e := 1 + time.Duration(rng.Int63n(int64(it.total-1)))
+			if hint := rng.Intn(len(it.rows)+2) - 1; it.rowFrom(hint, e) != it.rowAt(e) {
+				t.Fatalf("trial %d: rowFrom(%d, %v) = %d, rowAt %d", trial, hint, e, it.rowFrom(hint, e), it.rowAt(e))
 			}
 		}
-		if got := it.MaxDistanceFrom(p); got != want {
-			t.Fatalf("trial %d: MaxDistanceFrom = %v, waypoint maximum %v", trial, got, want)
+		for w := 0; w < 20; w++ {
+			from := start.Add(time.Duration(rng.Int63n(int64(it.total+4*time.Hour))) - 2*time.Hour)
+			to := from.Add(time.Duration(1 + rng.Int63n(int64(90*time.Minute))))
+			sp := it.Extent(from, to, rng.Intn(len(it.rows)+2)-1)
+			if fresh := it.Extent(from, to, 0); fresh != sp || sp.Row < 0 || sp.Row >= max(len(it.rows), 1) {
+				t.Fatalf("trial %d: Extent depends on its hint, or returned row %d of %d", trial, sp.Row, len(it.rows))
+			}
+			if !sp.OK {
+				if !hasGlide {
+					t.Fatalf("trial %d: Extent failed on an itinerary without a glide", trial)
+				}
+				failed++
+				continue
+			}
+			// Later windows that close by Until share the span's box.
+			if sp.Until.After(to) {
+				later := to.Add(time.Duration(rng.Int63n(int64(min(sp.Until.Sub(to), 48*time.Hour)) + 1)))
+				if next := it.Extent(to.Add(-1), later, sp.Row); next.Box != sp.Box {
+					t.Fatalf("trial %d: window closing at %v, before Until %v, has box %+v, not %+v", trial, later, sp.Until, next.Box, sp.Box)
+				}
+			}
+			box, longest := sp.Box, sp.LongestM
+			for k := 0; k <= 200; k++ {
+				when := from.Add(time.Duration(float64(to.Sub(from)-1) * float64(k) / 200))
+				p := it.Pos(when)
+				bow := longest*longest/(8*geo.EarthRadiusMeters)*math.Tan(math.Abs(p.Lat)*math.Pi/180) + 1e-6
+				if p.Lon < box.MinLon || p.Lon > box.MaxLon ||
+					(box.MinLat-p.Lat)*mPerDeg > bow || (p.Lat-box.MaxLat)*mPerDeg > bow {
+					t.Fatalf("trial %d: Pos(start%+v) = %v outside Extent %+v (longest %.1f m)", trial, when.Sub(start), p, box, longest)
+				}
+			}
 		}
-		if allocs := testing.AllocsPerRun(10, func() { it.MaxDistanceFrom(p) }); allocs != 0 {
-			t.Fatalf("trial %d: MaxDistanceFrom allocates %.1f times", trial, allocs)
-		}
+	}
+	if failed == 0 {
+		t.Error("no window held a glide")
 	}
 }
 

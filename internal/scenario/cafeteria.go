@@ -96,6 +96,32 @@ type CafeteriaResult struct {
 // the WiFi monitor counting devices by traffic destination, and the
 // vendor clouds ingesting crowd reports.
 func RunCafeteria(cfg CafeteriaConfig) *CafeteriaResult {
+	w := buildCafeteria(cfg)
+	w.e.RunUntil(w.end)
+	return &CafeteriaResult{
+		Start:          w.start,
+		End:            w.end,
+		Counts:         w.monitor.HourlyCounts(),
+		AppleHistory:   w.apple.History(w.tags[0].ID),
+		SamsungHistory: w.samsung.History(w.tags[1].ID),
+		Visits:         w.visits,
+	}
+}
+
+// cafeteriaWorld is a built, ready-to-run cafeteria deployment, its
+// scan loop attached to its engine.
+type cafeteriaWorld struct {
+	e              *sim.Engine
+	start, end     time.Time
+	monitor        *wifinet.Monitor
+	visits         map[trace.Vendor]int
+	fleet          *device.Fleet
+	tags           []*tag.Tag // the AirTag, then the SmartTag
+	apple, samsung *cloud.Service
+}
+
+// buildCafeteria draws the deployment's visits and wires its radio plane.
+func buildCafeteria(cfg CafeteriaConfig) *cafeteriaWorld {
 	cfg.defaults()
 	start := CampaignStart
 	end := start.Add(time.Duration(cfg.Days) * 24 * time.Hour)
@@ -160,20 +186,17 @@ func RunCafeteria(cfg CafeteriaConfig) *CafeteriaResult {
 	apple.Register(airTag.ID)
 	samsung.Register(smartTag.ID)
 
-	plane := encounter.New(encounter.Config{}, e, fleet, []*tag.Tag{airTag, smartTag}, map[trace.Vendor]*cloud.Service{
+	tags := []*tag.Tag{airTag, smartTag}
+	plane := encounter.New(encounter.Config{}, e, fleet, tags, map[trace.Vendor]*cloud.Service{
 		trace.VendorApple:   apple,
 		trace.VendorSamsung: samsung,
 	})
 	plane.Attach(start)
-	e.RunUntil(end)
-
-	return &CafeteriaResult{
-		Start:          start,
-		End:            end,
-		Counts:         monitor.HourlyCounts(),
-		AppleHistory:   apple.History(airTag.ID),
-		SamsungHistory: samsung.History(smartTag.ID),
-		Visits:         visits,
+	return &cafeteriaWorld{
+		e: e, start: start, end: end,
+		monitor: monitor, visits: visits,
+		fleet: fleet, tags: tags,
+		apple: apple, samsung: samsung,
 	}
 }
 

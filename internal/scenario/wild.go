@@ -232,7 +232,8 @@ type countryWorld struct {
 	job            CountryJob
 	e              *sim.Engine
 	end            time.Time
-	itin           *mobility.Itinerary
+	itin           *mobility.Itinerary // both tags ride it
+	fleet          *device.Fleet
 	pop            *population.Map // primary city raster (Figures 6-7)
 	vp             *vantage.VantagePoint
 	appleCrawler   *crawler.Crawler
@@ -436,6 +437,7 @@ func (j CountryJob) build() *countryWorld {
 		e:              e,
 		end:            end,
 		itin:           itin,
+		fleet:          fleet,
 		pop:            pops[0],
 		vp:             vp,
 		appleCrawler:   appleCrawler,
@@ -505,9 +507,9 @@ func dayWanderer(rng *rand.Rand, anchor geo.LatLon, radiusM float64, start time.
 		for clock < end {
 			dest := geo.Destination(anchor, rng.Float64()*360, rng.Float64()*radiusM)
 			mv := mobility.Move{Along: geo.Path{cur, dest}, SpeedKmh: 2 + rng.Float64()*3}
-			if mv.Duration() > 0 {
+			if d := mv.Duration(); d > 0 {
 				segments = append(segments, mv)
-				clock += mv.Duration()
+				clock += d
 				cur = dest
 			}
 			pause := time.Minute + time.Duration(rng.Int63n(int64(8*time.Minute)))
@@ -515,9 +517,9 @@ func dayWanderer(rng *rand.Rand, anchor geo.LatLon, radiusM float64, start time.
 			clock += pause
 		}
 		mv := mobility.Move{Along: geo.Path{cur, home}, SpeedKmh: 4}
-		if mv.Duration() > 0 {
+		if d := mv.Duration(); d > 0 {
 			segments = append(segments, mv)
-			clock += mv.Duration()
+			clock += d
 			cur = home
 		}
 		stayUntil(dayStart + 24*time.Hour)
