@@ -24,29 +24,53 @@ type endpointMetrics struct {
 	codes   [6]*obs.Counter // indexed by status/100 ("2xx" is codes[2])
 }
 
-// statusRecorder captures the handler's status code and, when the
+// statusRecorder counts the response's status class and, when the
 // request carries a trace, decides the X-Tag-Trace header at the
 // moment the response headers flush. Pooled; only the methods the
 // handlers use are forwarded.
 type statusRecorder struct {
 	http.ResponseWriter
-	status int
+	m      *endpointMetrics // nil when metrics are off
+	status int              // 0 until the header is written
 	tr     *otrace.Trace
 	th     *otrace.Threshold
 	t0     time.Time
 }
 
-// WriteHeader is the last instant a header can be added, so the
-// captured-trace advertisement is decided here with the elapsed time
-// measured so far. A request whose slowness comes after the headers
-// flush (streaming a huge history body) is still captured to the ring
-// at FinishRoot time — it just isn't advertised on this response.
+// WriteHeader counts the request by status class before any body byte
+// can reach the client: a client that has read its whole answer is
+// already in serve_requests_total. It is also the last instant a
+// header can be added, so the captured-trace advertisement is decided
+// here with the elapsed time measured so far. A request whose slowness
+// comes after the headers flush (streaming a huge history body) is
+// still captured to the ring at FinishRoot time — it just isn't
+// advertised on this response.
 func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	if r.tr != nil && r.th.Exceeded(time.Since(r.t0)) {
-		r.ResponseWriter.Header().Set("X-Tag-Trace", otrace.FormatID(r.tr.EnsureID()))
+	if r.status == 0 {
+		r.status = code
+		r.m.count(code)
+		if r.tr != nil && r.th.Exceeded(time.Since(r.t0)) {
+			r.ResponseWriter.Header().Set("X-Tag-Trace", otrace.FormatID(r.tr.EnsureID()))
+		}
 	}
 	r.ResponseWriter.WriteHeader(code)
+}
+
+// Write sends the implicit 200 a handler that writes a body without a
+// WriteHeader gets from net/http, through WriteHeader so it is counted.
+func (r *statusRecorder) Write(p []byte) (int, error) {
+	if r.status == 0 {
+		r.WriteHeader(http.StatusOK)
+	}
+	return r.ResponseWriter.Write(p)
+}
+
+// count bumps the status class's counter; a nil m (metrics off) or a
+// code outside 2xx-5xx counts nothing.
+func (m *endpointMetrics) count(code int) {
+	if c := code / 100; m != nil && c >= 2 && c <= 5 {
+		m.codes[c].Inc()
+	}
 }
 
 var recorderPool = sync.Pool{New: func() any { return new(statusRecorder) }}
@@ -78,7 +102,10 @@ func (s *Server) handle(pattern, endpoint string, h http.HandlerFunc) {
 			return
 		}
 		rec := recorderPool.Get().(*statusRecorder)
-		rec.ResponseWriter, rec.status = w, http.StatusOK
+		rec.ResponseWriter, rec.status = w, 0
+		if mt {
+			rec.m = m
+		}
 		t0 := time.Now()
 		if tt {
 			rec.tr, rec.th, rec.t0 = otrace.Get(), th, t0
@@ -86,6 +113,10 @@ func (s *Server) handle(pattern, endpoint string, h http.HandlerFunc) {
 			r = r.WithContext(otrace.NewContext(r.Context(), rec.tr))
 		}
 		h(rec, r)
+		if rec.status == 0 {
+			// Nothing written: net/http answers an empty 200.
+			rec.m.count(http.StatusOK)
+		}
 		elapsed := time.Since(t0)
 		// Capture is decided before this request's own sample feeds the
 		// histogram: a new-max request must clear the p99 of the workload
@@ -97,11 +128,8 @@ func (s *Server) handle(pattern, endpoint string, h http.HandlerFunc) {
 		}
 		if mt {
 			m.latency.Observe(elapsed)
-			if c := rec.status / 100; c >= 2 && c <= 5 {
-				m.codes[c].Inc()
-			}
 		}
-		rec.ResponseWriter = nil
+		rec.ResponseWriter, rec.m = nil, nil
 		recorderPool.Put(rec)
 	})
 }

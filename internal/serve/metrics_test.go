@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -149,5 +150,65 @@ func TestMetricsDisabledRequestsStillServe(t *testing.T) {
 	resp.Body.Close()
 	if strings.Contains(string(body), `serve_latency_seconds_count{endpoint="lastknown"} 1`) {
 		t.Fatal("disabled path still recorded a latency sample")
+	}
+}
+
+// countingWriter is a ResponseWriter stub that, on the first body
+// byte, records what the request counter read at that instant.
+type countingWriter struct {
+	h       http.Header
+	counter *obs.Counter
+	status  int
+	atWrite uint64
+	wrote   bool
+}
+
+func (w *countingWriter) Header() http.Header { return w.h }
+func (w *countingWriter) WriteHeader(code int) {
+	if w.status == 0 {
+		w.status = code
+	}
+}
+func (w *countingWriter) Write(p []byte) (int, error) {
+	if !w.wrote {
+		w.wrote, w.atWrite = true, w.counter.Value()
+	}
+	return len(p), nil
+}
+
+// TestRequestCountedBeforeBody: serve_requests_total moves before the
+// first body byte is written, so a client that has read its whole
+// answer is already counted — for a handler that sets its status, one
+// that writes a body with net/http's implicit 200, and one that writes
+// nothing at all.
+func TestRequestCountedBeforeBody(t *testing.T) {
+	defer obs.SetEnabled(obs.SetEnabled(true))
+	_, ts := fixture()
+	defer ts.Close()
+	srv := ts.Config.Handler.(*Server)
+	srv.handle("GET /test/implicit", "implicit", func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "body without a WriteHeader")
+	})
+	srv.handle("GET /test/empty", "empty", func(w http.ResponseWriter, r *http.Request) {})
+	for _, c := range []struct{ endpoint, path string }{
+		{"track", "/v1/track?tag=airtag-1"},
+		{"history", "/v1/history?tag=airtag-1"},
+		{"implicit", "/test/implicit"},
+		{"empty", "/test/empty"},
+	} {
+		ok := srv.Metrics().Counter("serve_requests_total", obs.L("endpoint", c.endpoint), obs.L("code", "2xx"))
+		before := ok.Value()
+		w := &countingWriter{h: http.Header{}, counter: ok}
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, c.path, nil))
+		if c.endpoint != "empty" && (!w.wrote || w.atWrite != before+1) {
+			t.Errorf("%s: 2xx counter read %d at the first body byte (wrote %v), want %d",
+				c.endpoint, w.atWrite, w.wrote, before+1)
+		}
+		if w.status != 0 && w.status != http.StatusOK {
+			t.Errorf("%s: status %d, want 200", c.endpoint, w.status)
+		}
+		if got := ok.Value(); got != before+1 {
+			t.Errorf("%s: 2xx counter = %d after the request, want %d", c.endpoint, got, before+1)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"tagsim/internal/colfmt"
 	"tagsim/internal/geo"
 )
 
@@ -287,7 +288,11 @@ func TestCorruptSegmentQuarantinedAtRead(t *testing.T) {
 	if len(segs) != 1 {
 		t.Fatalf("segments = %v, want one", segs)
 	}
-	flipByte(t, segs[0], 30) // inside the first data frame's payload
+	const flipAt = 30 // inside the first data frame's payload
+	if !frameReadTouches(t, segs[0], "tag", flipAt) {
+		t.Fatalf("offset %d is outside every frame a read of the tag touches", flipAt)
+	}
+	flipByte(t, segs[0], flipAt)
 
 	h := s.History("tag")
 	if len(h) != len(ring) {
@@ -319,4 +324,32 @@ func TestCorruptSegmentQuarantinedAtRead(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Errorf("Close: %v", err)
 	}
+}
+
+// frameReadTouches reports whether byte off of the segment at path lies
+// in a data frame holding rows of tag, so a read of the tag's whole
+// run preads and CRC-checks it.
+func frameReadTouches(t *testing.T, path, tag string, off int64) bool {
+	t.Helper()
+	seg, err := openSegment(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.close()
+	e := seg.lookup(tag)
+	if e == nil {
+		t.Fatalf("segment holds no %q", tag)
+	}
+	for _, fr := range seg.frames {
+		payload, err := colfmt.ReadFrameCRCAt(seg.f, fr.offset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inFrame := off >= fr.offset && off < fr.offset+colfmt.FrameCRCSize(len(payload))
+		holdsTag := fr.rowStart < e.rowStart+uint64(e.rowCount) && e.rowStart < fr.rowStart+uint64(fr.count)
+		if inFrame && holdsTag {
+			return true
+		}
+	}
+	return false
 }

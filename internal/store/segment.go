@@ -44,11 +44,20 @@ import (
 // Rows are grouped by tag (tags in sorted order, each tag's rows
 // oldest-first), so a tag's history is one contiguous global row range
 // — which is why data frames carry no tagID column: the per-tag index
-// entry names the range and the reader re-attaches the ID. startSeq is
-// the tag's persisted-sequence number of the run's first row, so
-// recovery can compute how many rows of a tag's history live on disk
-// (startSeq+rowCount of its newest segment) without reading any data
-// frame. The entry also carries the tag's last-seen state as of the
+// entry names the range and the reader re-attaches the ID.
+//
+// Frames are cut at tag boundaries: the writer closes the pending frame
+// before a tag whose run would overflow it, so a run of up to
+// segRowsPerFrame rows sits in exactly one frame, and a longer run
+// starts a frame and fills whole ones. A cold read of a short run thus
+// preads and CRC-checks one small frame. The reader does not rely on
+// the rule — it reads every frame overlapping the wanted rows — so
+// segments whose frames straddle tags still read.
+//
+// startSeq is the tag's persisted-sequence number of the run's first
+// row, so recovery can compute how many rows of a tag's history live on
+// disk (startSeq+rowCount of its newest segment) without reading any
+// data frame. The entry also carries the tag's last-seen state as of the
 // flush — tags with no retained history (KeepHistory off, or
 // registration-only) appear with rowCount 0, which is what lets a warm
 // restart rebuild the full tag universe from index blocks alone.
@@ -57,10 +66,11 @@ const (
 	segTrailerMagic = "TAGSEGX\n"
 )
 
-// segRowsPerFrame is the target data-frame row count — the truth log's
-// default frame granularity, which keeps a partial-history read to a
-// handful of frame decodes.
-const segRowsPerFrame = 4096
+// segRowsPerFrame is the data-frame row cap. At ~51 B/row a full frame
+// is ~13 KB, so a read of a short run preads and CRC-checks one small
+// frame instead of a slab of other tags' rows, while a long run still
+// decodes in a few frames.
+const segRowsPerFrame = 256
 
 // segFrame is one data frame's index entry.
 type segFrame struct {
@@ -111,13 +121,20 @@ func createSegment(path string) (*segmentWriter, error) {
 }
 
 // addTag appends one tag's run: its retained reports oldest-first plus
-// its last-seen state. Tags must arrive in strictly increasing order —
-// the writer's callers (flush over a sorted tag list, compaction over a
-// sorted merge) guarantee it, and the check turns a caller bug into an
-// error instead of an unsearchable index.
+// its last-seen state. The pending frame is written out first when the
+// run would overflow it, so frames break at tag boundaries. Tags must
+// arrive in strictly increasing order — the writer's callers (flush
+// over a sorted tag list, compaction over a sorted merge) guarantee it,
+// and the check turns a caller bug into an error instead of an
+// unsearchable index.
 func (w *segmentWriter) addTag(tag string, startSeq uint64, reports []trace.Report, lastPos geo.LatLon, lastAt time.Time, hasLast bool) error {
 	if n := len(w.entries); n > 0 && tag <= w.entries[n-1].tag {
 		return fmt.Errorf("store: segment tags out of order (%q after %q)", tag, w.entries[n-1].tag)
+	}
+	if len(w.batch) > 0 && len(w.batch)+len(reports) > segRowsPerFrame {
+		if err := w.writeFrame(); err != nil {
+			return err
+		}
 	}
 	w.entries = append(w.entries, segTagEntry{
 		tag: tag, startSeq: startSeq,
@@ -369,7 +386,7 @@ func (s *segment) lookup(tag string) *segTagEntry {
 // in [a, b), oldest-first, with TagID attached. Only the data frames
 // overlapping the requested row range are read and CRC-verified. A
 // non-nil tr gets a pread and a decode span per frame touched (a cold
-// read is ~100 µs+, so the four clock reads per frame are in the
+// read is tens of µs, so the four clock reads per frame are in the
 // noise).
 func (s *segment) readTagRange(e *segTagEntry, a, b uint64, tr *otrace.Trace) ([]trace.Report, error) {
 	end := e.startSeq + uint64(e.rowCount)
