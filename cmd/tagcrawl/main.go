@@ -65,13 +65,16 @@ func main() {
 
 	findMy := crawler.New(crawler.DefaultConfig(tagsim.VendorApple), apple, []string{airTag.ID}, e.RNG("findmy"))
 	smartThings := crawler.New(crawler.DefaultConfig(tagsim.VendorSamsung), samsung, []string{smartTag.ID}, e.RNG("smartthings"))
+	var findMyLog, smartThingsLog []trace.CrawlRecord
+	findMy.Tap = func(rec trace.CrawlRecord) { findMyLog = append(findMyLog, rec) }
+	smartThings.Tap = func(rec trace.CrawlRecord) { smartThingsLog = append(smartThingsLog, rec) }
 	findMy.Attach(e, start)
 	smartThings.Attach(e, start)
 
 	e.RunFor(time.Duration(*minutes) * time.Minute)
 
 	fmt.Println("crawl_t,app,tag,lat,lon,age_minutes")
-	for _, rec := range append(findMy.Records(), smartThings.Records()...) {
+	for _, rec := range append(findMyLog, smartThingsLog...) {
 		app := "FindMy"
 		if rec.Vendor == tagsim.VendorSamsung {
 			app = "SmartThings"
@@ -81,6 +84,6 @@ func main() {
 	}
 	aAcc, aRej := apple.Stats()
 	sAcc, sRej := samsung.Stats()
-	log.Printf("FindMy: %d crawls, cloud accepted %d / rate-limited %d", len(findMy.Records()), aAcc, aRej)
-	log.Printf("SmartThings: %d crawls, cloud accepted %d / rate-limited %d", len(smartThings.Records()), sAcc, sRej)
+	log.Printf("FindMy: %d crawls, cloud accepted %d / rate-limited %d", len(findMyLog), aAcc, aRej)
+	log.Printf("SmartThings: %d crawls, cloud accepted %d / rate-limited %d", len(smartThingsLog), sAcc, sRej)
 }

@@ -1,6 +1,7 @@
 // Command tagserve stands up the serving subsystem: it populates the
-// sharded report stores — by running an in-the-wild campaign, by
-// loading cmd/tagsim trace dumps, or by streaming a live campaign —
+// sharded report stores — by streaming an in-the-wild campaign into
+// them through the campaign pipeline's store ingester (to completion,
+// or with -live while serving), or by loading cmd/tagsim trace dumps —
 // and exposes the vendor query API the paper's crawlers
 // reverse-engineered (/v1/lastknown, /v1/history, /v1/track, /v1/stats,
 // plus POST /v1/report for live ingest).
@@ -66,12 +67,12 @@ import (
 	"syscall"
 	"time"
 
-	"tagsim"
 	"tagsim/internal/cloud"
 	"tagsim/internal/crawler"
 	"tagsim/internal/load"
 	"tagsim/internal/obs"
 	"tagsim/internal/pipeline"
+	"tagsim/internal/scenario"
 	"tagsim/internal/serve"
 	"tagsim/internal/store"
 	"tagsim/internal/trace"
@@ -211,19 +212,9 @@ func runLive(seed int64, scale float64, workers, devices, shards, historyLimit i
 		return err
 	}
 	defer closeServices(services)
-	ingester := pipeline.NewStoreIngester(services)
-	cfg := tagsim.WildConfig{Seed: seed, Scale: scale, Workers: workers, DevicesPerCity: devices}
-	jobs := tagsim.PlanWild(cfg)
-	pl := pipeline.New(len(jobs), pipeline.Config{}, ingester)
-	cfg.Stream = pl
-
-	log.Printf("live campaign (seed %d, scale %g): streaming %d country worlds into the stores...", seed, scale, len(jobs))
 	simStart := time.Now()
-	simDone := make(chan struct{})
-	go func() {
-		defer close(simDone)
-		tagsim.RunWild(cfg)
-	}()
+	ingester, pl, simDone := startCampaign(seed, scale, workers, devices, services)
+	log.Printf("live campaign (seed %d, scale %g): streaming %d country worlds into the stores...", seed, scale, pl.Worlds())
 
 	// A signal during the streaming phase still exits gracefully: the
 	// stores are consistent at every instant (ingest holds the shard
@@ -390,30 +381,34 @@ func awaitTags(services map[trace.Vendor]*cloud.Service, simDone <-chan struct{}
 	}
 }
 
-// servicesFromCampaign simulates the wild campaign and restores every
-// country's accepted cloud state into fresh serving stores. Country
-// windows are consecutive and disjoint, so per-tag histories
-// concatenate in time order.
+// startCampaign streams an in-the-wild campaign into services through
+// the pipeline's store ingester, the only way campaign reports reach
+// the stores. simDone closes once every world has run; the stores are
+// complete when pl.Wait returns after that.
+func startCampaign(seed int64, scale float64, workers, devices int, services map[trace.Vendor]*cloud.Service) (ingester *pipeline.StoreIngester, pl *pipeline.Pipeline, simDone chan struct{}) {
+	ingester = pipeline.NewStoreIngester(services)
+	cfg := scenario.WildConfig{Seed: seed, Scale: scale, Workers: workers, DevicesPerCity: devices}
+	pl = pipeline.New(len(scenario.PlanWild(cfg)), pipeline.Config{}, ingester)
+	cfg.Stream = pl
+	simDone = make(chan struct{})
+	go func() {
+		defer close(simDone)
+		scenario.RunWild(cfg)
+	}()
+	return ingester, pl, simDone
+}
+
+// servicesFromCampaign simulates the wild campaign into fresh serving
+// stores and returns them once the stream has drained.
 func servicesFromCampaign(seed int64, scale float64, workers, devices, shards, historyLimit int, tierCfg store.Tiering) (map[trace.Vendor]*cloud.Service, error) {
 	log.Printf("simulating campaign (seed %d, scale %g)...", seed, scale)
-	res := tagsim.RunWild(tagsim.WildConfig{Seed: seed, Scale: scale, Workers: workers, DevicesPerCity: devices})
 	out, err := newServices(shards, historyLimit, tierCfg)
 	if err != nil {
 		return nil, err
 	}
-	for _, cr := range res.Countries {
-		for v, svc := range cr.Clouds {
-			dst, ok := out[v]
-			if !ok {
-				continue
-			}
-			for _, tagID := range svc.TagIDs() {
-				dst.Register(tagID)
-				dst.Restore(svc.History(tagID))
-			}
-		}
-	}
-	return out, nil
+	_, pl, simDone := startCampaign(seed, scale, workers, devices, out)
+	<-simDone
+	return out, pl.Wait()
 }
 
 // servicesFromTraces rebuilds serving state from cmd/tagsim crawl dumps

@@ -150,25 +150,19 @@ func startTraceLogger(every time.Duration) (stop func()) {
 
 func runWild(seed int64, scale, fleetScale float64, workers, scanWorkers, replicates int, reportLog, truthLog bool, out string) {
 	cfg := tagsim.WildConfig{Seed: seed, Scale: scale, FleetScale: fleetScale, Workers: workers, ScanWorkers: scanWorkers}
+	// One pipeline per campaign: the collector behind tagsim.RunWild
+	// rebuilds the datasets the CSV dumps write, and the requested
+	// columnar logs stream to disk beside it while the campaign runs.
 	run := func(cfg tagsim.WildConfig, dir string) *tagsim.WildResult {
-		if !reportLog && !truthLog {
-			return tagsim.RunWild(cfg)
-		}
-		// Stream the requested columnar logs to disk while the campaign
-		// runs; StreamRetain keeps the in-world datasets so the CSV
-		// dumps are unchanged.
 		var sinks []pipeline.Consumer
 		var files []*os.File
-		var paths []string
 		addSink := func(name string, mk func(f *os.File) pipeline.Consumer) {
-			path := filepath.Join(dir, name)
-			f, err := os.Create(path)
+			f, err := os.Create(filepath.Join(dir, name))
 			if err != nil {
 				log.Fatal(err)
 			}
 			sinks = append(sinks, mk(f))
 			files = append(files, f)
-			paths = append(paths, path)
 		}
 		if reportLog {
 			addSink("reports.col", func(f *os.File) pipeline.Consumer { return pipeline.NewReportSink(f, 0) })
@@ -176,18 +170,15 @@ func runWild(seed int64, scale, fleetScale float64, workers, scanWorkers, replic
 		if truthLog {
 			addSink("truth.col", func(f *os.File) pipeline.Consumer { return pipeline.NewTruthSink(f, 0) })
 		}
-		pl := pipeline.New(len(tagsim.PlanWild(cfg)), pipeline.Config{}, sinks...)
-		cfg.Stream = pl
-		cfg.StreamRetain = true
-		res := tagsim.RunWild(cfg)
-		if err := pl.Wait(); err != nil {
+		res, err := tagsim.CollectWild(cfg, sinks...)
+		if err != nil {
 			log.Fatalf("columnar log: %v", err)
 		}
-		for i, f := range files {
+		for _, f := range files {
 			if err := f.Close(); err != nil {
-				log.Fatalf("close %s: %v", paths[i], err)
+				log.Fatalf("close %s: %v", f.Name(), err)
 			}
-			log.Printf("wrote %s", paths[i])
+			log.Printf("wrote %s", f.Name())
 		}
 		return res
 	}

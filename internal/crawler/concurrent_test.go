@@ -62,6 +62,8 @@ func TestCrawlAgainstConcurrentIngest(t *testing.T) {
 		// OCR misreads off: the crawl log must be a pure function of the
 		// store state at each poll.
 		c := New(Config{Vendor: trace.VendorApple, Interval: time.Minute}, svc, tagIDs, rand.New(rand.NewSource(1)))
+		var log []trace.CrawlRecord
+		c.Tap = func(r trace.CrawlRecord) { log = append(log, r) }
 		for m, burst := range bursts {
 			if concurrent {
 				var wg sync.WaitGroup
@@ -84,7 +86,7 @@ func TestCrawlAgainstConcurrentIngest(t *testing.T) {
 			}
 			c.Poll(start.Add(time.Duration(m) * time.Minute))
 		}
-		return c.Records()
+		return log
 	}
 
 	sequential := run(false)

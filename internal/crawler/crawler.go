@@ -34,24 +34,20 @@ func DefaultConfig(v trace.Vendor) Config {
 	return Config{Vendor: v, Interval: time.Minute, OCRMisreadProb: 0.01}
 }
 
-// Crawler polls a cloud view for a set of tags and accumulates crawl
-// records.
+// Crawler polls a cloud view for a set of tags and hands each crawl
+// record to its Tap.
 type Crawler struct {
 	cfg     Config
 	view    cloud.View
 	tagIDs  []string
 	rng     *rand.Rand
-	records []trace.CrawlRecord
 	nowSeen int
 
-	// Tap, when set, observes every crawl record as it is produced —
-	// the streaming campaign pipeline's hook into the crawl stream.
+	// Tap receives every crawl record as it is produced, in poll order.
+	// It is the crawler's only output (NowCount aside): the crawler
+	// keeps no log, so a record with no Tap is dropped. A campaign
+	// world taps it into its pipeline emitter.
 	Tap func(trace.CrawlRecord)
-	// Discard stops the crawler from retaining records in memory
-	// (Records returns nil); counters like NowCount keep working. Set
-	// it when a Tap consumer owns the log, so a 120-day campaign never
-	// materializes the raw crawl log in the world.
-	Discard bool
 }
 
 // New builds a crawler over a cloud view. tagIDs are the tags paired to
@@ -101,19 +97,12 @@ func (c *Crawler) Poll(now time.Time) {
 		if c.Tap != nil {
 			c.Tap(rec)
 		}
-		if !c.Discard {
-			c.records = append(c.records, rec)
-		}
 	}
 }
 
-// Records returns the accumulated crawl log (time-sorted by
-// construction), or nil when Discard routed it to the Tap instead.
-func (c *Crawler) Records() []trace.CrawlRecord { return c.records }
-
 // NowCount returns how many crawl records showed the tag as seen "Now" —
-// the quantity Table 1 reports per country. The count is maintained as
-// records are produced, so it survives Discard.
+// the quantity Table 1 reports per country, counted as records are
+// produced.
 func (c *Crawler) NowCount() int { return c.nowSeen }
 
 // DistinctReports collapses repeated crawl records that observed the

@@ -25,27 +25,36 @@ func setup(ocr float64) (*sim.Engine, *cloud.Service, *Crawler) {
 	return e, svc, c
 }
 
+// collect taps c and returns the crawl log the Tap builds.
+func collect(c *Crawler) *[]trace.CrawlRecord {
+	var recs []trace.CrawlRecord
+	c.Tap = func(r trace.CrawlRecord) { recs = append(recs, r) }
+	return &recs
+}
+
 func ingest(svc *cloud.Service, at time.Time, p geo.LatLon) {
 	svc.Ingest(trace.Report{T: at, HeardAt: at, TagID: "tag", Pos: p})
 }
 
 func TestPollBeforeAnyReport(t *testing.T) {
 	e, _, c := setup(0)
+	tapped := collect(c)
 	c.Attach(e, t0)
 	e.RunFor(10 * time.Minute)
-	if len(c.Records()) != 0 {
+	if len(*tapped) != 0 {
 		t.Error("no reports yet: the app shows nothing to crawl")
 	}
 }
 
 func TestPollPicksUpReport(t *testing.T) {
 	e, svc, c := setup(0)
+	tapped := collect(c)
 	c.Attach(e, t0)
 	e.Schedule(t0.Add(2*time.Minute+30*time.Second), func() {
 		ingest(svc, e.Now(), pos)
 	})
 	e.RunFor(10 * time.Minute)
-	recs := c.Records()
+	recs := *tapped
 	if len(recs) == 0 {
 		t.Fatal("no crawl records")
 	}
@@ -68,10 +77,11 @@ func TestPollPicksUpReport(t *testing.T) {
 
 func TestAgeGrowsBetweenReports(t *testing.T) {
 	e, svc, c := setup(0)
+	tapped := collect(c)
 	c.Attach(e, t0)
 	e.Schedule(t0.Add(30*time.Second), func() { ingest(svc, e.Now(), pos) })
 	e.RunFor(10 * time.Minute)
-	recs := c.Records()
+	recs := *tapped
 	if len(recs) < 9 {
 		t.Fatalf("only %d records", len(recs))
 	}
@@ -88,11 +98,12 @@ func TestAgeGrowsBetweenReports(t *testing.T) {
 
 func TestNowCount(t *testing.T) {
 	e, svc, c := setup(0)
+	tapped := collect(c)
 	c.Attach(e, t0)
 	// Fresh report right before every poll for the first 5 minutes.
 	for i := 0; i < 5; i++ {
 		at := t0.Add(time.Duration(i)*time.Minute + 50*time.Second)
-		e.Schedule(at, func() { ingest(svc, e.Now(), geo.Destination(pos, 0, float64(len(c.Records()))*300+900)) })
+		e.Schedule(at, func() { ingest(svc, e.Now(), geo.Destination(pos, 0, float64(len(*tapped))*300+900)) })
 	}
 	e.RunFor(20 * time.Minute)
 	if got := c.NowCount(); got < 1 || got > 5 {
@@ -102,13 +113,14 @@ func TestNowCount(t *testing.T) {
 
 func TestOCRNoise(t *testing.T) {
 	e, svc, c := setup(1.0) // always misread
+	tapped := collect(c)
 	c.Attach(e, t0)
 	e.Schedule(t0.Add(30*time.Second), func() { ingest(svc, e.Now(), pos) })
 	e.RunFor(30 * time.Minute)
 	// With guaranteed misreads, reconstructed ages must deviate from the
 	// floor value at least sometimes but never go negative.
 	deviated := false
-	for _, r := range c.Records() {
+	for _, r := range *tapped {
 		if r.AgeMinutes < 0 {
 			t.Fatal("negative age")
 		}
@@ -154,13 +166,14 @@ func TestCrawlIntervalDefaulted(t *testing.T) {
 
 func TestStopCrawling(t *testing.T) {
 	e, svc, c := setup(0)
+	tapped := collect(c)
 	stop := c.Attach(e, t0)
 	ingest(svc, t0, pos)
 	e.RunFor(5 * time.Minute)
-	n := len(c.Records())
+	n := len(*tapped)
 	stop()
 	e.RunFor(10 * time.Minute)
-	if len(c.Records()) != n {
+	if len(*tapped) != n {
 		t.Error("crawler kept polling after stop")
 	}
 }

@@ -105,10 +105,7 @@ func NewCampaign(opts Options) *Campaign {
 		panic(err)
 	}
 	st := acc.State()
-	for i, w := range st.Worlds {
-		res.Countries[i].Dataset = w.Dataset
-		res.Countries[i].Homes = w.Homes
-	}
+	res.Attach(st.Worlds)
 	c := &Campaign{
 		Options:        opts,
 		Result:         res,

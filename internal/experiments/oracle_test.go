@@ -8,17 +8,21 @@ import (
 	"tagsim/internal/trace"
 )
 
-// batchCampaign is the independent oracle for NewCampaign: it simulates
-// the whole campaign without a pipeline (scenario.RunWild keeps every
-// raw log in the country datasets) and only then derives the shared
-// analysis state from the materialized datasets — the home filter over
-// the merged raw truth, the per-vendor filters over the raw crawl logs.
-// The streamed campaign must render every figure byte-identically to it.
+// batchCampaign is the independent oracle for NewCampaign: it first
+// materializes every raw log in the country datasets (the collector of
+// scenario.CollectWild keeps them all, undeduped) and only then derives
+// the shared analysis state from them — the home filter over the merged
+// raw truth, the per-vendor filters over the raw crawl logs. The
+// streamed campaign must render every figure byte-identically to it.
 func batchCampaign(opts Options) *Campaign {
 	if opts.Scale <= 0 {
 		opts.Scale = 1
 	}
-	return newCampaignFromResult(opts, scenario.RunWild(opts.wildConfig()))
+	res, err := scenario.CollectWild(opts.wildConfig())
+	if err != nil {
+		panic(err)
+	}
+	return newCampaignFromResult(opts, res)
 }
 
 // newCampaignFromResult prepares the shared analysis state over an

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"tagsim/internal/cloud"
+	"tagsim/internal/obs"
 	"tagsim/internal/pipeline"
 	"tagsim/internal/scenario"
 	"tagsim/internal/trace"
@@ -135,31 +136,50 @@ func liveServices(shards int) map[trace.Vendor]*cloud.Service {
 	return out
 }
 
+// reportRecorder is a pipeline consumer keeping every registration and
+// accepted report of the merged stream, in stream order.
+type reportRecorder struct {
+	regs    []pipeline.Registration
+	reports []trace.Report
+}
+
+func (r *reportRecorder) Consume(b pipeline.Batch) error {
+	r.regs = append(r.regs, b.Registrations...)
+	r.reports = append(r.reports, b.Reports...)
+	return nil
+}
+
+func (r *reportRecorder) Close() error { return nil }
+
 // TestStreamingStoreAndDumpEquivalence runs the same campaign twice —
-// once streaming into serving stores and a columnar sink at workers=4,
-// once at workers=1 with a collector standing in for the batch path —
-// and requires byte-identical store snapshots and dump files, plus
-// equality with cmd/tagserve's batch restore from the country clouds.
+// streaming into serving stores and a columnar sink at workers=1 and
+// at workers=4 — and requires byte-identical store snapshots and dump
+// files, equality with a per-tag restore of every accepted report into
+// fresh stores (independent of the ingester's per-vendor batching),
+// and a dump holding exactly the accepted reports.
 func TestStreamingStoreAndDumpEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign simulation is slow")
 	}
-	runStreamed := func(workers int) (map[trace.Vendor]*cloud.Service, []byte, *scenario.WildResult) {
+	delivered := obs.GetCounter("encounter_delivered_total")
+	runStreamed := func(workers int) (map[trace.Vendor]*cloud.Service, []byte, *reportRecorder, uint64) {
 		cfg := scenario.WildConfig{Seed: 61, Scale: 0.02, DevicesPerCity: 60, Workers: workers}
 		services := liveServices(16)
 		var dump bytes.Buffer
+		rec := &reportRecorder{}
 		jobs := scenario.PlanWild(cfg)
 		pl := pipeline.New(len(jobs), pipeline.Config{},
-			pipeline.NewStoreIngester(services), pipeline.NewReportSink(&dump, 256))
+			pipeline.NewStoreIngester(services), pipeline.NewReportSink(&dump, 256), rec)
 		cfg.Stream = pl
-		res := scenario.RunWild(cfg)
+		before := delivered.Value()
+		scenario.RunWild(cfg)
 		if err := pl.Wait(); err != nil {
 			t.Fatal(err)
 		}
-		return services, dump.Bytes(), res
+		return services, dump.Bytes(), rec, delivered.Value() - before
 	}
-	seq, dumpSeq, _ := runStreamed(1)
-	par, dumpPar, res := runStreamed(4)
+	seq, dumpSeq, _, _ := runStreamed(1)
+	par, dumpPar, rec, accepted := runStreamed(4)
 
 	if !bytes.Equal(dumpSeq, dumpPar) {
 		t.Error("columnar dump bytes differ across worker counts")
@@ -170,43 +190,38 @@ func TestStreamingStoreAndDumpEquivalence(t *testing.T) {
 		}
 	}
 
-	// The batch path: restore each country's accepted cloud state into
-	// fresh stores after the fact, exactly like cmd/tagserve's
-	// campaign mode. The live-streamed stores must match it.
+	// The oracle: register every tag, then restore each tag's whole
+	// accepted history (every country's reports, in stream order) in
+	// one call, tags in map order, into fresh stores. The live-streamed
+	// stores must match it.
 	batch := liveServices(16)
-	for _, cr := range res.Countries {
-		for v, svc := range cr.Clouds {
-			dst, ok := batch[v]
-			if !ok {
-				continue
-			}
-			for _, tagID := range svc.TagIDs() {
-				dst.Register(tagID)
-				dst.Restore(svc.History(tagID))
-			}
-		}
+	for _, reg := range rec.regs {
+		batch[reg.Vendor].Register(reg.TagID)
+	}
+	perTag := map[string][]trace.Report{}
+	for _, r := range rec.reports {
+		perTag[r.TagID] = append(perTag[r.TagID], r)
+	}
+	for _, rs := range perTag {
+		batch[rs[0].Vendor].Restore(rs)
 	}
 	for _, v := range []trace.Vendor{trace.VendorApple, trace.VendorSamsung} {
 		if !reflect.DeepEqual(par[v].Snapshot(), batch[v].Snapshot()) {
-			t.Errorf("%s: live-streamed store differs from batch restore", v)
+			t.Errorf("%s: live-streamed store differs from the per-tag restore", v)
 		}
 	}
 
 	// The dump decodes, is non-trivial, and holds exactly the reports
-	// the clouds accepted.
+	// the clouds accepted, in stream order.
 	reports, err := pipeline.ReadReports(bytes.NewReader(dumpPar))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var accepted uint64
-	for _, cr := range res.Countries {
-		for _, svc := range cr.Clouds {
-			a, _ := svc.Stats()
-			accepted += a
-		}
-	}
 	if uint64(len(reports)) != accepted {
 		t.Errorf("dump holds %d reports, clouds accepted %d", len(reports), accepted)
+	}
+	if !reflect.DeepEqual(reports, rec.reports) {
+		t.Errorf("dump (%d reports) differs from the accepted stream (%d reports)", len(reports), len(rec.reports))
 	}
 	if len(reports) == 0 {
 		t.Error("empty dump: the campaign accepted no reports?")

@@ -9,18 +9,18 @@ import (
 	"tagsim/internal/trace"
 )
 
-// WorldData is one world's accumulated campaign output: the compact
-// replacement for scenario's in-world dataset retention. Its crawls are
-// only distinct reports — each underlying report once — never the raw
-// crawl log; every analysis consumer dedups its input anyway (the dedup
-// is idempotent), so figures built from WorldData render byte-identical
-// to datasets built from the raw logs.
+// WorldData is one world's output as a consumer rebuilt it from the
+// stream. The DatasetCollector's holds the raw crawl logs. The
+// CampaignAccumulator's crawls are only distinct reports — each
+// underlying report once — never the raw crawl log; every analysis
+// consumer dedups its input anyway (the dedup is idempotent), so
+// figures built from it render byte-identical to datasets built from
+// the raw logs.
 type WorldData struct {
-	// Dataset holds the world's time-sorted ground truth — the
-	// campaign's only copy of the raw fixes — and maps each vendor to
-	// its distinct crawl records, deduped within this world in
-	// isolation (matching the per-country dedup Figure 7 performs on
-	// country datasets).
+	// Dataset holds the world's time-sorted ground truth and maps each
+	// vendor to its crawl records (the accumulator's are deduped within
+	// this world in isolation, matching the per-country dedup Figure 7
+	// performs on country datasets).
 	Dataset *analysis.Dataset
 	// Homes are the participant's detected overnight locations.
 	Homes []geo.LatLon

@@ -8,12 +8,12 @@ import (
 )
 
 // StoreIngester streams the campaign's accepted reports into serving
-// stores while the simulation runs — the live counterpart of
-// cmd/tagserve's after-the-fact Restore from country cloud dumps. The
-// reports arriving here already passed the per-world clouds' rate caps,
-// so they load through Restore (no re-capping), exactly like the batch
-// path; per-tag report order is preserved by the ordered merge, which
-// makes the final store snapshot byte-identical to the batch restore.
+// stores while the simulation runs: it is how cmd/tagserve fills its
+// stores from a campaign, live or not. The reports arriving here
+// already passed the per-world clouds' rate caps, so they load through
+// Restore (no re-capping); per-tag report order is preserved by the
+// ordered merge, which makes the final store snapshot byte-identical to
+// restoring each tag's accepted history in one call.
 //
 // The destination services may be queried concurrently (the HTTP query
 // API, the load harness) throughout: the sharded store's locks make

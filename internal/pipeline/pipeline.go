@@ -514,16 +514,13 @@ func (e *WorldEmitter) flush(final bool) {
 
 // Close flushes whatever remains as the world's final batch (possibly
 // empty — consumers still need the end-of-world marker). Must be called
-// exactly once, after the world finished. It drops the emitter's
-// pipeline reference, so a tap that outlives its world (a cloud
-// service kept in the campaign result) does not pin the pipeline and
-// its consumers' state.
+// exactly once, after the world finished.
 func (e *WorldEmitter) Close() {
 	if e.closed {
 		panic("pipeline: WorldEmitter closed twice")
 	}
 	e.flush(true)
-	e.closed, e.p = true, nil
+	e.closed = true
 }
 
 // Abort ends the world's stream without a final batch: the pipeline
@@ -537,5 +534,5 @@ func (e *WorldEmitter) Abort() {
 		return
 	}
 	e.p.fail(fmt.Errorf("pipeline: world %d aborted before closing its stream", e.world))
-	e.closed, e.p = true, nil
+	e.closed = true
 }

@@ -62,54 +62,43 @@ type truthFrame struct {
 	LastT  int64
 }
 
-// The framing (length prefixes, the index sentinel, the seekable
-// trailer) is internal/colfmt's shared codec.
-//
-// TruthWriter encodes ground-truth fixes into the columnar log. Strict
-// writers (NewTruthWriter) enforce non-decreasing fix times, which is
-// what entitles readers to binary-search the frame index; the pipeline's
-// TruthSink relaxes this for raw multi-world export logs, which are
-// time-sorted only within each world. Not safe for concurrent use.
-type TruthWriter struct {
+// TruthSink is the pipeline consumer streaming every world's ground
+// truth to a columnar log as it is produced, framing every flushEvery
+// fixes. Worlds stream sequentially through the merge, so a
+// multi-world campaign's log is sorted within each world but not across
+// worlds; the frame index records each frame's first and last instants
+// as written. The framing (length prefixes, the index sentinel, the
+// seekable trailer) is internal/colfmt's shared codec.
+type TruthSink struct {
 	w          *bufio.Writer
 	batch      []trace.GroundTruth
 	payload    []byte // reused frame-encode buffer
 	flushEvery int
-	strict     bool
 	off        int64 // logical bytes written (magic + frames)
 	frames     []truthFrame
-	lastT      int64
-	hasLast    bool
 	wroteMagic bool
 	closed     bool
 }
 
-// NewTruthWriter builds a strict (time-sorted) writer framing every
-// flushEvery fixes (<= 0 means DefaultSinkFlush).
-func NewTruthWriter(w io.Writer, flushEvery int) *TruthWriter {
+// NewTruthSink builds the consumer (flushEvery <= 0 means
+// DefaultSinkFlush).
+func NewTruthSink(w io.Writer, flushEvery int) *TruthSink {
 	if flushEvery <= 0 {
 		flushEvery = DefaultSinkFlush
 	}
-	return &TruthWriter{w: bufio.NewWriter(w), flushEvery: flushEvery, strict: true}
+	return &TruthSink{w: bufio.NewWriter(w), flushEvery: flushEvery}
 }
 
-// Append adds fixes to the current frame, writing frames as the
-// threshold fills. Strict writers reject a fix earlier than its
-// predecessor.
-func (w *TruthWriter) Append(fixes ...trace.GroundTruth) error {
-	if w.closed {
-		return fmt.Errorf("pipeline: append to closed TruthWriter")
+// Consume implements Consumer: it adds the batch's fixes to the current
+// frame, writing frames as the threshold fills.
+func (s *TruthSink) Consume(b Batch) error {
+	if s.closed {
+		return fmt.Errorf("pipeline: consume on closed TruthSink")
 	}
-	for _, f := range fixes {
-		t := f.T.UnixNano()
-		if w.strict && w.hasLast && t < w.lastT {
-			return fmt.Errorf("pipeline: truth log requires non-decreasing fix times (%v after %v)",
-				f.T, time.Unix(0, w.lastT).UTC())
-		}
-		w.lastT, w.hasLast = t, true
-		w.batch = append(w.batch, f)
-		if len(w.batch) >= w.flushEvery {
-			if err := w.writeFrame(); err != nil {
+	for _, f := range b.Fixes {
+		s.batch = append(s.batch, f)
+		if len(s.batch) >= s.flushEvery {
+			if err := s.writeFrame(); err != nil {
 				return err
 			}
 		}
@@ -117,29 +106,33 @@ func (w *TruthWriter) Append(fixes ...trace.GroundTruth) error {
 	return nil
 }
 
-// Close writes the final partial frame, the frame index, and the
-// trailer, then flushes. It does not close the underlying writer.
-func (w *TruthWriter) Close() error {
-	if w.closed {
+// Name labels this consumer in pipeline stats.
+func (s *TruthSink) Name() string { return "truth" }
+
+// Close implements Consumer: it writes the final partial frame, the
+// frame index, and the trailer, then flushes. It does not close the
+// underlying writer.
+func (s *TruthSink) Close() error {
+	if s.closed {
 		return nil
 	}
-	w.closed = true
-	if len(w.batch) > 0 {
-		if err := w.writeFrame(); err != nil {
+	s.closed = true
+	if len(s.batch) > 0 {
+		if err := s.writeFrame(); err != nil {
 			return err
 		}
 	}
-	if !w.wroteMagic {
-		w.wroteMagic = true
-		if _, err := w.w.WriteString(truthLogMagic); err != nil {
+	if !s.wroteMagic {
+		s.wroteMagic = true
+		if _, err := s.w.WriteString(truthLogMagic); err != nil {
 			return err
 		}
-		w.off += int64(len(truthLogMagic))
+		s.off += int64(len(truthLogMagic))
 	}
-	indexOffset := w.off
-	p := w.payload[:0]
-	p = colfmt.AppendU32(p, uint32(len(w.frames)))
-	for _, fr := range w.frames {
+	indexOffset := s.off
+	p := s.payload[:0]
+	p = colfmt.AppendU32(p, uint32(len(s.frames)))
+	for _, fr := range s.frames {
 		p = colfmt.AppendU64(p, uint64(fr.Offset))
 		p = colfmt.AppendU32(p, uint32(fr.Count))
 		p = colfmt.AppendI64(p, fr.FirstT)
@@ -147,29 +140,29 @@ func (w *TruthWriter) Close() error {
 	}
 	var mark [4]byte
 	binary.LittleEndian.PutUint32(mark[:], truthIndexMark)
-	if _, err := w.w.Write(mark[:]); err != nil {
+	if _, err := s.w.Write(mark[:]); err != nil {
 		return err
 	}
-	if err := colfmt.WriteFrame(w.w, p); err != nil {
+	if err := colfmt.WriteFrame(s.w, p); err != nil {
 		return err
 	}
-	if err := colfmt.WriteTrailer(w.w, indexOffset, truthTrailerMagic); err != nil {
+	if err := colfmt.WriteTrailer(s.w, indexOffset, truthTrailerMagic); err != nil {
 		return err
 	}
 	obsTruthLog.Add(uint64(4 + 4 + len(p) + colfmt.TrailerLen))
-	return w.w.Flush()
+	return s.w.Flush()
 }
 
-func (w *TruthWriter) writeFrame() error {
-	if !w.wroteMagic {
-		w.wroteMagic = true
-		if _, err := w.w.WriteString(truthLogMagic); err != nil {
+func (s *TruthSink) writeFrame() error {
+	if !s.wroteMagic {
+		s.wroteMagic = true
+		if _, err := s.w.WriteString(truthLogMagic); err != nil {
 			return err
 		}
-		w.off += int64(len(truthLogMagic))
+		s.off += int64(len(truthLogMagic))
 		obsTruthLog.Add(uint64(len(truthLogMagic)))
 	}
-	fs := w.batch
+	fs := s.batch
 	size := 4 // count
 	size += len(fs) * (8 + 8 + 8 + 8 + 8)
 	for _, f := range fs {
@@ -178,7 +171,7 @@ func (w *TruthWriter) writeFrame() error {
 	if size > maxFrameBytes {
 		return fmt.Errorf("pipeline: truth frame of %d fixes is %d bytes, exceeding the %d-byte frame cap; use a smaller flushEvery", len(fs), size, maxFrameBytes)
 	}
-	p := w.payload[:0]
+	p := s.payload[:0]
 	p = colfmt.AppendU32(p, uint32(len(fs)))
 	for _, f := range fs {
 		p = colfmt.AppendI64(p, f.T.UnixNano())
@@ -198,31 +191,20 @@ func (w *TruthWriter) writeFrame() error {
 	for _, f := range fs {
 		p = colfmt.AppendStr(p, f.VantageID)
 	}
-	w.payload = p
-	if err := colfmt.WriteFrame(w.w, p); err != nil {
+	s.payload = p
+	if err := colfmt.WriteFrame(s.w, p); err != nil {
 		return err
 	}
-	w.frames = append(w.frames, truthFrame{
-		Offset: w.off,
+	s.frames = append(s.frames, truthFrame{
+		Offset: s.off,
 		Count:  len(fs),
 		FirstT: fs[0].T.UnixNano(),
 		LastT:  fs[len(fs)-1].T.UnixNano(),
 	})
-	w.off += colfmt.FrameSize(len(p))
+	s.off += colfmt.FrameSize(len(p))
 	obsTruthLog.Add(uint64(colfmt.FrameSize(len(p))))
-	w.batch = w.batch[:0]
+	s.batch = s.batch[:0]
 	return nil
-}
-
-// WriteTruth one-shots a fix slice into the columnar format — the batch
-// path's dump. Bytes are identical to a TruthWriter streaming the same
-// fix sequence at the same flushEvery.
-func WriteTruth(w io.Writer, fixes []trace.GroundTruth, flushEvery int) error {
-	tw := NewTruthWriter(w, flushEvery)
-	if err := tw.Append(fixes...); err != nil {
-		return err
-	}
-	return tw.Close()
 }
 
 // decodeTruthFrame decodes one data frame payload.
@@ -326,29 +308,3 @@ func ReadAllTruth(r io.Reader) ([]trace.GroundTruth, error) {
 		out = append(out, frame...)
 	}
 }
-
-// TruthSink is the pipeline consumer streaming every world's ground
-// truth to a columnar log as it is produced. Worlds stream sequentially
-// through the merge, so a multi-world campaign's log is sorted within
-// each world but not across worlds — the sink therefore writes a
-// non-strict log, readable by TruthReader.
-type TruthSink struct {
-	w *TruthWriter
-}
-
-// NewTruthSink builds the consumer (flushEvery <= 0 means
-// DefaultSinkFlush).
-func NewTruthSink(w io.Writer, flushEvery int) *TruthSink {
-	tw := NewTruthWriter(w, flushEvery)
-	tw.strict = false
-	return &TruthSink{w: tw}
-}
-
-// Consume implements Consumer.
-func (s *TruthSink) Consume(b Batch) error { return s.w.Append(b.Fixes...) }
-
-// Close implements Consumer.
-func (s *TruthSink) Close() error { return s.w.Close() }
-
-// Name labels this consumer in pipeline stats.
-func (s *TruthSink) Name() string { return "truth" }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -38,6 +39,15 @@ func truthFixture(n int, seed int64) []trace.GroundTruth {
 	return fixes
 }
 
+// writeTruth streams fixes through a TruthSink as one batch.
+func writeTruth(w io.Writer, fixes []trace.GroundTruth, flushEvery int) error {
+	sink := NewTruthSink(w, flushEvery)
+	if err := sink.Consume(Batch{Fixes: fixes}); err != nil {
+		return err
+	}
+	return sink.Close()
+}
+
 // TestTruthRoundTrip checks write -> stream-read reproduces the input
 // exactly, and that the trailer locates the frame index behind the
 // last data frame.
@@ -45,7 +55,7 @@ func TestTruthRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 300} {
 		fixes := truthFixture(n, int64(n)+1)
 		var buf bytes.Buffer
-		if err := WriteTruth(&buf, fixes, 64); err != nil {
+		if err := writeTruth(&buf, fixes, 64); err != nil {
 			t.Fatalf("n=%d: write: %v", n, err)
 		}
 		got, err := ReadAllTruth(bytes.NewReader(buf.Bytes()))
@@ -62,44 +72,6 @@ func TestTruthRoundTrip(t *testing.T) {
 		if mark := binary.LittleEndian.Uint32(buf.Bytes()[indexOffset:]); mark != truthIndexMark {
 			t.Fatalf("n=%d: trailer points at %#x, not the index sentinel", n, mark)
 		}
-	}
-}
-
-// TestTruthFramingByteIdentical checks a batched dump and a fix-by-fix
-// streamed write produce identical bytes — framing depends only on the
-// fix sequence and the flush threshold.
-func TestTruthFramingByteIdentical(t *testing.T) {
-	fixes := truthFixture(500, 9)
-	var batch bytes.Buffer
-	if err := WriteTruth(&batch, fixes, 128); err != nil {
-		t.Fatal(err)
-	}
-	var streamed bytes.Buffer
-	w := NewTruthWriter(&streamed, 128)
-	for _, f := range fixes {
-		if err := w.Append(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(batch.Bytes(), streamed.Bytes()) {
-		t.Fatalf("streamed truth log (%d bytes) differs from batch dump (%d bytes)", streamed.Len(), batch.Len())
-	}
-}
-
-// TestTruthWriterStrictOrder checks the strict writer rejects a fix
-// earlier than its predecessor (the invariant seekable readers rely on),
-// while equal timestamps pass.
-func TestTruthWriterStrictOrder(t *testing.T) {
-	t0 := time.Date(2026, 3, 1, 8, 0, 0, 0, time.UTC)
-	w := NewTruthWriter(&bytes.Buffer{}, 0)
-	if err := w.Append(trace.GroundTruth{T: t0}, trace.GroundTruth{T: t0}, trace.GroundTruth{T: t0.Add(time.Second)}); err != nil {
-		t.Fatalf("sorted appends rejected: %v", err)
-	}
-	if err := w.Append(trace.GroundTruth{T: t0}); err == nil {
-		t.Fatal("out-of-order fix accepted by strict writer")
 	}
 }
 
@@ -133,7 +105,7 @@ func TestTruthSinkWritesUnsorted(t *testing.T) {
 func TestTruthFileCorruption(t *testing.T) {
 	fixes := truthFixture(100, 5)
 	var buf bytes.Buffer
-	if err := WriteTruth(&buf, fixes, 32); err != nil {
+	if err := writeTruth(&buf, fixes, 32); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -158,7 +130,7 @@ func TestTruthSpillCounter(t *testing.T) {
 	c := obs.GetCounter("truth_spill_bytes_total")
 	before := c.Value()
 	var buf bytes.Buffer
-	if err := WriteTruth(&buf, truthFixture(200, 3), 64); err != nil {
+	if err := writeTruth(&buf, truthFixture(200, 3), 64); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := c.Value()-before, uint64(buf.Len()); got != want {

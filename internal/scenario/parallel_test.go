@@ -9,40 +9,15 @@ import (
 	"tagsim/internal/trace"
 )
 
-// equalCountry compares one country's campaign output by observable
-// state. The serving store's lock-free read path publishes per-tag
-// views through atomic pointers, so reflect.DeepEqual over the live
-// Clouds services can never match between two runs (the pointer
-// addresses always differ); the clouds are instead compared through
-// their deterministic store snapshots, which capture exactly the
-// observable state — counters plus sorted per-tag last-seen and
-// history. Every other field is compared deeply as before.
-func equalCountry(a, b CountryResult) bool {
-	ca, cb := a.Clouds, b.Clouds
-	a.Clouds, b.Clouds = nil, nil
-	if !reflect.DeepEqual(a, b) || len(ca) != len(cb) {
-		return false
+// collect runs the campaign through CollectWild, which attaches the
+// raw per-country datasets and homes the tests compare.
+func collect(t *testing.T, cfg WildConfig) *WildResult {
+	t.Helper()
+	res, err := CollectWild(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for v, sa := range ca {
-		sb, ok := cb[v]
-		if !ok || !reflect.DeepEqual(sa.Snapshot(), sb.Snapshot()) {
-			return false
-		}
-	}
-	return true
-}
-
-// equalWild is equalCountry over whole campaigns.
-func equalWild(a, b *WildResult) bool {
-	if len(a.Countries) != len(b.Countries) {
-		return false
-	}
-	for i := range a.Countries {
-		if !equalCountry(a.Countries[i], b.Countries[i]) {
-			return false
-		}
-	}
-	return true
+	return res
 }
 
 // tinyCampaign is a three-country campaign small enough to simulate in
@@ -95,18 +70,43 @@ func TestWildParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wild campaign is slow")
 	}
-	sequential := RunWild(tinyCampaign(31, 1))
+	sequential := collect(t, tinyCampaign(31, 1))
 	for _, workers := range []int{8, 0} {
-		parallel := RunWild(tinyCampaign(31, workers))
+		parallel := collect(t, tinyCampaign(31, workers))
 		if len(parallel.Countries) != len(sequential.Countries) {
 			t.Fatalf("workers=%d: %d countries, want %d", workers, len(parallel.Countries), len(sequential.Countries))
 		}
 		for i := range sequential.Countries {
 			a, b := sequential.Countries[i], parallel.Countries[i]
-			if !equalCountry(a, b) {
+			if !reflect.DeepEqual(a, b) {
 				t.Errorf("workers=%d: country %s diverged from the sequential run (fixes %d vs %d, apple now %d vs %d)",
 					workers, a.Spec.Code, len(a.Dataset.GroundTruth), len(b.Dataset.GroundTruth), a.AppleNow, b.AppleNow)
 			}
+		}
+	}
+}
+
+// TestWildWithoutStreamKeepsNothing: a world's records leave only
+// through its Stream. Without one the worlds keep no dataset and no
+// homes, while every counter matches the collected run.
+func TestWildWithoutStreamKeepsNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wild campaign is slow")
+	}
+	cfg := tinyCampaign(37, 0)
+	cfg.Countries = cfg.Countries[:2]
+	bare, collected := RunWild(cfg), collect(t, cfg)
+	for i := range bare.Countries {
+		b, c := bare.Countries[i], collected.Countries[i]
+		if b.Dataset != nil || b.Homes != nil {
+			t.Errorf("%s: an unstreamed world kept %v and %d homes", b.Spec.Code, b.Dataset, len(b.Homes))
+		}
+		if c.Dataset == nil || len(c.Dataset.GroundTruth) == 0 || len(c.Homes) == 0 {
+			t.Fatalf("%s: the collector attached no data", c.Spec.Code)
+		}
+		c.Dataset, c.Homes = nil, nil
+		if !reflect.DeepEqual(b, c) {
+			t.Errorf("%s: unstreamed counters differ from the collected run", b.Spec.Code)
 		}
 	}
 }
@@ -120,15 +120,15 @@ func TestWildScanWorkerDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wild campaign is slow")
 	}
-	serial := RunWild(tinyCampaign(31, 1))
+	serial := collect(t, tinyCampaign(31, 1))
 	for _, scanWorkers := range []int{2, 8} {
 		cfg := tinyCampaign(31, 0)
 		cfg.ScanWorkers = scanWorkers
-		sharded := RunWild(cfg)
-		if !equalWild(serial, sharded) {
+		sharded := collect(t, cfg)
+		if !reflect.DeepEqual(serial, sharded) {
 			for i := range serial.Countries {
 				a, b := serial.Countries[i], sharded.Countries[i]
-				if !equalCountry(a, b) {
+				if !reflect.DeepEqual(a, b) {
 					t.Errorf("scan-workers=%d: country %s diverged from the serial scan (fixes %d vs %d, apple now %d vs %d)",
 						scanWorkers, a.Spec.Code, len(a.Dataset.GroundTruth), len(b.Dataset.GroundTruth), a.AppleNow, b.AppleNow)
 				}
@@ -146,13 +146,13 @@ func TestWildFleetScale(t *testing.T) {
 	}
 	cfg := tinyCampaign(13, 0)
 	cfg.Countries = cfg.Countries[:1]
-	base := RunWild(cfg)
+	base := collect(t, cfg)
 	cfg.FleetScale = 1
-	if explicit := RunWild(cfg); !equalWild(base, explicit) {
+	if explicit := collect(t, cfg); !reflect.DeepEqual(base, explicit) {
 		t.Error("FleetScale=1 must be byte-identical to the unset default")
 	}
 	cfg.FleetScale = 3
-	big := RunWild(cfg)
+	big := collect(t, cfg)
 	baseReports := len(base.Countries[0].Dataset.CrawlsFor(trace.VendorApple))
 	bigReports := len(big.Countries[0].Dataset.CrawlsFor(trace.VendorApple))
 	if bigReports < baseReports {
@@ -174,10 +174,10 @@ func TestWildReplicates(t *testing.T) {
 	for r := range reps {
 		rcfg := cfg
 		rcfg.Seed = ReplicateSeed(cfg.Seed, r)
-		reps[r] = RunWild(rcfg)
+		reps[r] = collect(t, rcfg)
 	}
 	// Replicate 0 keeps the base seed: identical to a plain RunWild.
-	if base := RunWild(cfg); !equalWild(base, reps[0]) {
+	if base := collect(t, cfg); !reflect.DeepEqual(base, reps[0]) {
 		t.Error("replicate 0 diverged from RunWild with the base seed")
 	}
 	// Later replicates are genuinely different worlds...

@@ -193,7 +193,7 @@ func TestWildTinyEndToEnd(t *testing.T) {
 		}},
 		DevicesPerCity: 250,
 	}
-	res := RunWild(cfg)
+	res := collect(t, cfg)
 	if len(res.Countries) != 1 {
 		t.Fatal("missing country result")
 	}
@@ -251,8 +251,8 @@ func TestWildDeterministic(t *testing.T) {
 		}},
 		DevicesPerCity: 150,
 	}
-	a := RunWild(cfg)
-	b := RunWild(cfg)
+	a := collect(t, cfg)
+	b := collect(t, cfg)
 	ga, gb := a.Countries[0].Dataset.GroundTruth, b.Countries[0].Dataset.GroundTruth
 	if len(ga) != len(gb) {
 		t.Fatalf("ground truth lengths differ: %d vs %d", len(ga), len(gb))

@@ -71,20 +71,16 @@ type WildConfig struct {
 	// This is within-world parallelism, orthogonal to Workers'
 	// across-world fan-out.
 	ScanWorkers int
-	// Stream, when set, attaches every country world to a streaming
-	// campaign pipeline sized with PlanWild's job count: accepted cloud
-	// reports, uploaded ground-truth fixes, and crawl records publish
+	// Stream is the only exit for a world's records. When set (a
+	// pipeline sized with PlanWild's job count), accepted cloud
+	// reports, uploaded ground-truth fixes and crawl records publish
 	// through world Index's emitter as the engine runs, and each world
-	// closes its emitter when its stay ends. Unless StreamRetain is
-	// set, the worlds then retain nothing — CountryResult.Dataset is
-	// empty and Homes nil; the pipeline's consumers own the data (see
-	// experiments.NewCampaign for the reassembly). The caller must
-	// Wait on the pipeline after RunWild returns.
+	// closes its emitter when its stay ends; the caller must Wait on
+	// the pipeline after RunWild returns. The worlds themselves keep
+	// none of it, so without a Stream the records are simply dropped.
+	// Consumers own the data: CollectWild rebuilds the raw per-country
+	// datasets, experiments.NewCampaign the analysis state.
 	Stream *pipeline.Pipeline
-	// StreamRetain keeps the historical in-world record retention while
-	// also streaming — for callers (cmd/tagsim's report log) that need
-	// both the live stream and the batch datasets.
-	StreamRetain bool
 }
 
 func (c *WildConfig) defaults() {
@@ -126,7 +122,10 @@ type CountryResult struct {
 	Days int
 	// Start/End bound the stay.
 	Start, End time.Time
-	// Dataset holds the vantage ground truth and both crawler logs.
+	// Dataset holds the vantage ground truth and both crawler logs. A
+	// world leaves it nil; the consumer that received the world's
+	// stream attaches it (see WildResult.Attach): raw logs from
+	// CollectWild, distinct crawl records from experiments.NewCampaign.
 	Dataset *analysis.Dataset
 	// AppleNow/SamsungNow are Table 1's "# Report" columns: crawl polls
 	// that showed the tag as seen "Now".
@@ -135,14 +134,9 @@ type CountryResult struct {
 	KmByClass map[mobility.SpeedClass]float64
 	// Population is the primary city's density raster (Figures 6-7).
 	Population *population.Map
-	// Homes are the participant's detected overnight locations.
+	// Homes are the participant's detected overnight locations,
+	// attached with Dataset.
 	Homes []geo.LatLon
-	// Clouds are the country's vendor services with their full accepted
-	// state — what cmd/tagserve restores into its serving stores. The
-	// retention is cheap relative to Dataset: ingestion is rate-capped
-	// at ~19 accepted reports/hour/tag, versus thousands of daily
-	// ground-truth fixes and crawl records.
-	Clouds map[trace.Vendor]*cloud.Service
 }
 
 // WildResult is the whole campaign.
@@ -215,6 +209,31 @@ func RunWild(cfg WildConfig) *WildResult {
 	})}
 }
 
+// CollectWild runs the campaign on a fresh pipeline (replacing
+// cfg.Stream) whose consumers are a pipeline.DatasetCollector followed
+// by sinks, waits for every consumer to close, and attaches each
+// country's raw Dataset and Homes from the collector. The error is the
+// pipeline's: a sink that failed, or a world that aborted.
+func CollectWild(cfg WildConfig, sinks ...pipeline.Consumer) (*WildResult, error) {
+	col := pipeline.NewDatasetCollector()
+	pl := pipeline.New(len(PlanWild(cfg)), pipeline.Config{}, append([]pipeline.Consumer{col}, sinks...)...)
+	cfg.Stream = pl
+	res := RunWild(cfg)
+	if err := pl.Wait(); err != nil {
+		return nil, err
+	}
+	res.Attach(col.Worlds())
+	return res, nil
+}
+
+// Attach sets each country's Dataset and Homes from the data a pipeline
+// consumer built from its stream, in campaign order.
+func (w *WildResult) Attach(worlds []pipeline.WorldData) {
+	for i, wd := range worlds {
+		w.Countries[i].Dataset, w.Countries[i].Homes = wd.Dataset, wd.Homes
+	}
+}
+
 // replicateSeedStride separates replicate seed spaces. It dwarfs every
 // intra-campaign seed offset (countries use index*1000, tags index*10),
 // so replicate streams can never collide.
@@ -238,7 +257,6 @@ type countryWorld struct {
 	vp             *vantage.VantagePoint
 	appleCrawler   *crawler.Crawler
 	samsungCrawler *crawler.Crawler
-	clouds         map[trace.Vendor]*cloud.Service
 	plane          *encounter.Plane
 	em             *pipeline.WorldEmitter // nil outside streaming runs
 }
@@ -394,11 +412,10 @@ func (j CountryJob) build() *countryWorld {
 	samsung := cloud.NewService(trace.VendorSamsung)
 	apple.Register(airTag.ID)
 	samsung.Register(smartTag.ID)
-	clouds := map[trace.Vendor]*cloud.Service{
+	plane := encounter.New(encounter.Config{ScanWorkers: cfg.ScanWorkers}, e, fleet, []*tag.Tag{airTag, smartTag}, map[trace.Vendor]*cloud.Service{
 		trace.VendorApple:   apple,
 		trace.VendorSamsung: samsung,
-	}
-	plane := encounter.New(encounter.Config{ScanWorkers: cfg.ScanWorkers}, e, fleet, []*tag.Tag{airTag, smartTag}, clouds)
+	})
 	plane.Attach(start)
 
 	// Vantage point and crawlers.
@@ -409,12 +426,12 @@ func (j CountryJob) build() *countryWorld {
 	appleCrawler.Attach(e, start)
 	samsungCrawler.Attach(e, start)
 
-	// Streaming: tap every record stream into the world's pipeline
-	// emitter. The taps run on the engine's goroutine, so emission
-	// order is the engine's deterministic event order; the world's
-	// pipeline queue hands the stream to the pipeline's consumers. None
-	// of this perturbs any RNG draw, so the simulated records are
-	// byte-identical to a batch run with the same seed.
+	// Tap every record stream into the world's pipeline emitter, the
+	// world's only output. The taps run on the engine's goroutine, so
+	// emission order is the engine's deterministic event order; the
+	// world's pipeline queue hands the stream to the pipeline's
+	// consumers. None of this perturbs any RNG draw, so a world with no
+	// Stream simulates exactly the same records and counters.
 	var em *pipeline.WorldEmitter
 	if cfg.Stream != nil {
 		em = cfg.Stream.World(index)
@@ -425,11 +442,6 @@ func (j CountryJob) build() *countryWorld {
 		appleCrawler.Tap = em.Crawl
 		samsungCrawler.Tap = em.Crawl
 		vp.Tap = em.Fixes
-		if !cfg.StreamRetain {
-			appleCrawler.Discard = true
-			samsungCrawler.Discard = true
-			vp.Discard = true
-		}
 	}
 
 	return &countryWorld{
@@ -442,17 +454,14 @@ func (j CountryJob) build() *countryWorld {
 		vp:             vp,
 		appleCrawler:   appleCrawler,
 		samsungCrawler: samsungCrawler,
-		clouds:         clouds,
 		plane:          plane,
 		em:             em,
 	}
 }
 
-// run drives the world's engine to the end of the stay and collects the
-// country's campaign output. In a streaming run the emitter is closed
-// here — after the final vantage flush — sealing the world's batch
-// sequence; the retained Dataset/Homes are then empty unless
-// StreamRetain kept them.
+// run drives the world's engine to the end of the stay and returns the
+// country's counters. In a streaming run the emitter is closed here —
+// after the final vantage flush — sealing the world's batch sequence.
 func (w *countryWorld) run() CountryResult {
 	w.e.RunUntil(w.end)
 	w.vp.Flush(w.end) // deliver whatever is still buffered
@@ -461,11 +470,6 @@ func (w *countryWorld) run() CountryResult {
 		w.em.Close()
 	}
 
-	gt := w.vp.Records()
-	ds := analysis.NewDataset(gt, map[trace.Vendor][]trace.CrawlRecord{
-		trace.VendorApple:   w.appleCrawler.Records(),
-		trace.VendorSamsung: w.samsungCrawler.Records(),
-	})
 	kmByClass := make(map[mobility.SpeedClass]float64)
 	for cls, m := range w.itin.DistanceByClass() {
 		kmByClass[cls] += m / 1000
@@ -475,13 +479,10 @@ func (w *countryWorld) run() CountryResult {
 		Days:       w.job.Days,
 		Start:      w.job.Start,
 		End:        w.end,
-		Dataset:    ds,
 		AppleNow:   w.appleCrawler.NowCount(),
 		SamsungNow: w.samsungCrawler.NowCount(),
 		KmByClass:  kmByClass,
 		Population: w.pop,
-		Homes:      analysis.DetectHomes(gt, 300),
-		Clouds:     w.clouds,
 	}
 }
 

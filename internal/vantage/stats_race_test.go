@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"tagsim/internal/sim"
+	"tagsim/internal/trace"
 )
 
 // TestStatsConcurrentWithEngine is the raced regression for the
@@ -19,6 +20,8 @@ func TestStatsConcurrentWithEngine(t *testing.T) {
 	cfg := DefaultConfig("vp-race")
 	cfg.OnlineProb = 0.5 // exercise the offline counter too
 	vp := New(cfg, walkModel(), e.RNG("vp-race"))
+	tapped := 0
+	vp.Tap = func(fs []trace.GroundTruth) { tapped += len(fs) }
 	vp.Attach(e, t0)
 
 	var wg sync.WaitGroup
@@ -49,5 +52,8 @@ func TestStatsConcurrentWithEngine(t *testing.T) {
 	up, fl, _ := vp.Stats()
 	if up == 0 || fl == 0 {
 		t.Fatalf("no activity recorded: uploaded=%d flushes=%d", up, fl)
+	}
+	if tapped != up {
+		t.Errorf("Tap received %d fixes, Stats counts %d uploaded", tapped, up)
 	}
 }

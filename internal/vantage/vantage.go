@@ -54,7 +54,6 @@ type VantagePoint struct {
 	rng      *rand.Rand
 
 	buffer  []trace.GroundTruth
-	records []trace.GroundTruth
 	lastFix geo.LatLon
 	lastAt  time.Time
 	hasFix  bool
@@ -64,15 +63,12 @@ type VantagePoint struct {
 	flushes  atomic.Int64
 	offline  atomic.Int64
 
-	// Tap, when set, observes each successfully uploaded fix batch (in
-	// fix-time order) — the streaming campaign pipeline's hook into the
-	// ground-truth stream. The slice is reused between flushes; taps
-	// must copy what they keep.
+	// Tap receives each successfully uploaded fix batch, in fix-time
+	// order. It is the collection server: the vantage point keeps
+	// nothing it uploaded (Stats counts it), so a batch with no Tap is
+	// dropped. A campaign world taps it into its pipeline emitter. The
+	// slice is reused between flushes; taps must copy what they keep.
 	Tap func([]trace.GroundTruth)
-	// Discard stops the vantage point from retaining uploaded fixes in
-	// memory (Records returns nil). Set it when a Tap consumer owns the
-	// ground truth.
-	Discard bool
 }
 
 // New creates a vantage point following the given mobility model.
@@ -144,17 +140,9 @@ func (v *VantagePoint) Flush(now time.Time) {
 	if v.Tap != nil {
 		v.Tap(v.buffer)
 	}
-	if !v.Discard {
-		v.records = append(v.records, v.buffer...)
-	}
 	v.uploaded.Add(int64(len(v.buffer)))
 	v.buffer = v.buffer[:0]
 }
-
-// Records returns the ground truth received by the collection server so
-// far (time-sorted by construction), or nil when Discard routed it to
-// the Tap instead.
-func (v *VantagePoint) Records() []trace.GroundTruth { return v.records }
 
 // PendingBuffered returns how many fixes are still waiting for
 // connectivity.

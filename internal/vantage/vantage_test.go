@@ -8,6 +8,7 @@ import (
 	"tagsim/internal/geo"
 	"tagsim/internal/mobility"
 	"tagsim/internal/sim"
+	"tagsim/internal/trace"
 )
 
 var (
@@ -20,15 +21,24 @@ func walkModel() mobility.Model {
 	return mobility.NewItinerary(t0, mobility.Move{Along: geo.Path{origin, dest}, SpeedKmh: 4})
 }
 
+// collect taps vp and returns the ground truth its Tap receives, as the
+// collection server would hold it.
+func collect(vp *VantagePoint) *[]trace.GroundTruth {
+	var recs []trace.GroundTruth
+	vp.Tap = func(fs []trace.GroundTruth) { recs = append(recs, fs...) }
+	return &recs
+}
+
 func TestSamplingAndFlush(t *testing.T) {
 	e := sim.NewEngine(t0, 1)
 	cfg := DefaultConfig("vp1")
 	cfg.OnlineProb = 1
 	vp := New(cfg, walkModel(), e.RNG("vp"))
+	uploaded := collect(vp)
 	vp.Attach(e, t0)
 	e.RunFor(16 * time.Minute)
 
-	recs := vp.Records()
+	recs := *uploaded
 	if len(recs) == 0 {
 		t.Fatal("no ground truth uploaded")
 	}
@@ -60,10 +70,11 @@ func TestGroundTruthTracksTruth(t *testing.T) {
 	cfg.GPSSigmaM = 4
 	m := walkModel()
 	vp := New(cfg, m, e.RNG("vp"))
+	uploaded := collect(vp)
 	vp.Attach(e, t0)
 	e.RunFor(10 * time.Minute)
 	var worst float64
-	for _, r := range vp.Records() {
+	for _, r := range *uploaded {
 		d := geo.Distance(r.Pos, m.Pos(r.T))
 		if d > worst {
 			worst = d
@@ -81,10 +92,11 @@ func TestStationarySuppression(t *testing.T) {
 	cfg.OnlineProb = 1
 	cfg.GPSSigmaM = 0 // no noise: position never changes
 	vp := New(cfg, mobility.Stationary(origin), e.RNG("vp"))
+	uploaded := collect(vp)
 	vp.Attach(e, t0)
 	e.RunFor(30 * time.Minute)
 	// Only the first fix is a variation; the rest are suppressed.
-	if got := len(vp.Records()); got != 1 {
+	if got := len(*uploaded); got != 1 {
 		t.Errorf("stationary zero-noise vantage recorded %d fixes, want 1", got)
 	}
 }
@@ -97,9 +109,10 @@ func TestSpeedEstimates(t *testing.T) {
 	dest := geo.Destination(origin, 90, 5000)
 	m := mobility.NewItinerary(t0, mobility.Move{Along: geo.Path{origin, dest}, SpeedKmh: 10})
 	vp := New(cfg, m, e.RNG("vp"))
+	uploaded := collect(vp)
 	vp.Attach(e, t0)
 	e.RunFor(10 * time.Minute)
-	recs := vp.Records()
+	recs := *uploaded
 	if len(recs) < 50 {
 		t.Fatalf("too few records: %d", len(recs))
 	}
@@ -119,9 +132,10 @@ func TestOfflineBuffering(t *testing.T) {
 	cfg := DefaultConfig("vp1")
 	cfg.OnlineProb = 0 // never online
 	vp := New(cfg, walkModel(), e.RNG("vp"))
+	uploaded := collect(vp)
 	vp.Attach(e, t0)
 	e.RunFor(20 * time.Minute)
-	if len(vp.Records()) != 0 {
+	if len(*uploaded) != 0 {
 		t.Error("records uploaded while offline")
 	}
 	if vp.PendingBuffered() < 100 {
@@ -138,6 +152,7 @@ func TestOfflineThenRecover(t *testing.T) {
 	cfg := DefaultConfig("vp1")
 	cfg.OnlineProb = 0
 	vp := New(cfg, walkModel(), e.RNG("vp"))
+	uploaded := collect(vp)
 	vp.Attach(e, t0)
 	e.RunFor(12 * time.Minute)
 	buffered := vp.PendingBuffered()
@@ -148,7 +163,7 @@ func TestOfflineThenRecover(t *testing.T) {
 	// so far; only samples taken after that flush may remain pending.
 	vp.cfg.OnlineProb = 1
 	e.RunFor(6 * time.Minute)
-	recs := vp.Records()
+	recs := *uploaded
 	if len(recs) < buffered {
 		t.Errorf("only %d of %d buffered fixes delivered", len(recs), buffered)
 	}
@@ -168,13 +183,14 @@ func TestStopSampling(t *testing.T) {
 	cfg := DefaultConfig("vp1")
 	cfg.OnlineProb = 1
 	vp := New(cfg, walkModel(), e.RNG("vp"))
+	uploaded := collect(vp)
 	stop := vp.Attach(e, t0)
 	e.RunFor(5 * time.Minute)
 	stop()
 	e.RunFor(time.Minute) // let any scheduled flush lapse
-	n := len(vp.Records()) + vp.PendingBuffered()
+	n := len(*uploaded) + vp.PendingBuffered()
 	e.RunFor(10 * time.Minute)
-	if got := len(vp.Records()) + vp.PendingBuffered(); got != n {
+	if got := len(*uploaded) + vp.PendingBuffered(); got != n {
 		t.Error("vantage kept sampling after stop")
 	}
 }

@@ -151,11 +151,24 @@ type (
 	SecludedConfig = scenario.SecludedConfig
 )
 
+// RunWild simulates an in-the-wild campaign, countries in parallel on
+// WildConfig.Workers workers, and returns every country's raw ground
+// truth, crawl logs and homes: CollectWild with no sinks.
+func RunWild(cfg WildConfig) *WildResult {
+	res, err := scenario.CollectWild(cfg)
+	if err != nil {
+		// The collector does no I/O; an error here is a broken pipeline
+		// contract, not a runtime condition.
+		panic(err)
+	}
+	return res
+}
+
 // Scenario runners.
 var (
-	// RunWild simulates an in-the-wild campaign, countries in parallel
-	// on WildConfig.Workers workers.
-	RunWild = scenario.RunWild
+	// CollectWild is RunWild with sinks: further pipeline consumers
+	// (a ReportSink, say) fed from the same campaign stream.
+	CollectWild = scenario.CollectWild
 	// PlanWild lays out a campaign's CountryJobs without running them.
 	PlanWild = scenario.PlanWild
 	// ReplicateSeed derives the base seed of replicate r.
@@ -341,8 +354,9 @@ var (
 )
 
 // Streaming campaign pipeline: the live data path from the radio plane
-// to the serving store, the analysis plane, and disk. NewCampaign builds
-// every campaign through it (one CampaignAccumulator consumer).
+// to the serving store, the analysis plane, and disk: the only exit
+// from a simulated world. NewCampaign builds every campaign through it
+// (one CampaignAccumulator consumer), RunWild every raw dataset.
 type (
 	// Pipeline coordinates world emitters, the ordered merge, and the
 	// consumer fan-out of one streaming campaign.
@@ -354,7 +368,7 @@ type (
 	// PipelineConsumer receives the merged, ordered batch stream.
 	PipelineConsumer = pipeline.Consumer
 	// StoreIngester streams accepted reports into serving stores while
-	// the simulation runs (tagserve -live).
+	// the simulation runs (how tagserve fills its stores).
 	StoreIngester = pipeline.StoreIngester
 	// CampaignAccumulator builds the campaign analysis state — truth
 	// index, homes, per-vendor analysis indexes — incrementally from

@@ -9,7 +9,6 @@ import (
 
 	"tagsim"
 	"tagsim/internal/pipeline"
-	"tagsim/internal/scenario"
 	"tagsim/internal/trace"
 )
 
@@ -26,13 +25,19 @@ var worldOutputDigests = map[int64]string{
 	3: "e5d5d4539203e8a4f908fa25cfcefd78603a0997bc95bcfd995a173351d489d7",
 }
 
-// wildOutputFiles runs the campaign at seed and workers and returns the
-// files cmd/tagsim would write for it, by name.
+// wildOutputFiles runs the campaign at seed and workers the way
+// cmd/tagsim does — one pipeline feeding the dataset collector and both
+// columnar sinks — and returns the files it would write, by name.
 func wildOutputFiles(t *testing.T, seed int64, workers int) map[string][]byte {
 	t.Helper()
-	cfg := tagsim.WildConfig{Seed: seed, Scale: 0.02, Workers: workers}
-	files := map[string][]byte{}
-	for _, cr := range tagsim.RunWild(cfg).Countries {
+	var reports, truth bytes.Buffer
+	res, err := tagsim.CollectWild(tagsim.WildConfig{Seed: seed, Scale: 0.02, Workers: workers},
+		pipeline.NewReportSink(&reports, 0), pipeline.NewTruthSink(&truth, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{"reports.col": reports.Bytes(), "truth.col": truth.Bytes()}
+	for _, cr := range res.Countries {
 		var buf bytes.Buffer
 		if err := trace.WriteGroundTruthCSV(&buf, cr.Dataset.GroundTruth); err != nil {
 			t.Fatal(err)
@@ -46,16 +51,6 @@ func wildOutputFiles(t *testing.T, seed int64, workers int) map[string][]byte {
 			files[fmt.Sprintf("crawls_%s_%s.csv", cr.Spec.Code, v)] = buf.Bytes()
 		}
 	}
-	var reports, truth bytes.Buffer
-	pl := pipeline.New(len(tagsim.PlanWild(cfg)), pipeline.Config{},
-		pipeline.NewReportSink(&reports, 0), pipeline.NewTruthSink(&truth, 0))
-	cfg.Stream = pl
-	scenario.RunWild(cfg)
-	if err := pl.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	files["reports.col"] = reports.Bytes()
-	files["truth.col"] = truth.Bytes()
 	return files
 }
 
@@ -77,7 +72,7 @@ func filesDigest(files map[string][]byte) string {
 // campaign's worlds hand out, at one and two workers.
 func TestWildOutputDigests(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs twelve tiny campaigns")
+		t.Skip("runs six tiny campaigns")
 	}
 	for _, seed := range []int64{1, 2, 3} {
 		for _, workers := range []int{1, 2} {
