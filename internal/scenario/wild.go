@@ -412,10 +412,11 @@ func (j CountryJob) build() *countryWorld {
 	samsung := cloud.NewService(trace.VendorSamsung)
 	apple.Register(airTag.ID)
 	samsung.Register(smartTag.ID)
-	plane := encounter.New(encounter.Config{ScanWorkers: cfg.ScanWorkers}, e, fleet, []*tag.Tag{airTag, smartTag}, map[trace.Vendor]*cloud.Service{
+	clouds := map[trace.Vendor]*cloud.Service{
 		trace.VendorApple:   apple,
 		trace.VendorSamsung: samsung,
-	})
+	}
+	plane := encounter.New(encounter.Config{ScanWorkers: cfg.ScanWorkers}, e, fleet, []*tag.Tag{airTag, smartTag}, clouds)
 	plane.Attach(start)
 
 	// Vantage point and crawlers.

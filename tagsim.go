@@ -153,7 +153,8 @@ type (
 
 // RunWild simulates an in-the-wild campaign, countries in parallel on
 // WildConfig.Workers workers, and returns every country's raw ground
-// truth, crawl logs and homes: CollectWild with no sinks.
+// truth, crawl logs and homes: CollectWild with no sinks, so
+// cfg.Stream is replaced.
 func RunWild(cfg WildConfig) *WildResult {
 	res, err := scenario.CollectWild(cfg)
 	if err != nil {
