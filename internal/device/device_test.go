@@ -190,11 +190,10 @@ func TestFleetNear(t *testing.T) {
 	}
 	// A commuter whose itinerary swings within range of the query point.
 	commuteEnd := geo.Destination(origin, 0, 3000)
-	it := mobility.NewItinerary(t0,
-		mobility.Move{Along: geo.Path{far, commuteEnd}, SpeedKmh: 30},
-		mobility.Stay{At: commuteEnd, For: 8 * time.Hour},
-	)
-	commuter := New("commuter", trace.VendorApple, far, it)
+	b := mobility.NewBuilder(t0, far)
+	b.MoveTo(commuteEnd, 30)
+	b.Stay(8 * time.Hour)
+	commuter := New("commuter", trace.VendorApple, far, b.Build())
 	devices = append(devices, commuter)
 
 	f := NewFleet(origin, devices)

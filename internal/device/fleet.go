@@ -18,17 +18,17 @@ import (
 //
 // The index is sliced by the hour. Each query stream (a Searcher, or the
 // fleet's own scratch behind Near) lazily builds a grid for the hour that
-// holds the query instant, and rebuilds it in O(devices + segments in the
-// hour) when its queries move to another hour. The grid bounds every
+// holds the query instant, and rebuilds it in O(devices + itinerary rows in
+// the hour) when its queries move to another hour. The grid bounds every
 // device active during the hour by a box on the fleet's local ENU plane:
-// the waypoints of its segments active in the hour (clamped to the first
+// the ends of its itinerary rows active in the hour (clamped to the first
 // or last position outside its itinerary), plus sliceMarginM. Boxes up to
 // sliceLegM across are bucketed into fixed sliceCellM cells, hashed onto
 // a table sized by the number of entries; a device inactive for the
 // whole hour is left out; a leg over sliceLegM, a wider box or an
 // unknown mobility model puts the device on the hour's always-checked
 // list. A device's box is kept from hour to hour while its itinerary
-// stays in one segment, so a night at home is bounded once. A query
+// stays in one row, so a night at home is bounded once. A query
 // visits the cells under the window that holds every point within its
 // radius, marks their devices and the always-checked list in a bitmap,
 // and reads it back in device-index order, keeping the devices whose
@@ -275,10 +275,6 @@ func (f *Fleet) bound(b *bound, m mobility.Model, lo, hi int64) {
 	case *mobility.Itinerary:
 		sp := m.Extent(time.Unix(0, lo), time.Unix(0, hi), int(b.row))
 		b.row, b.from, b.until = int32(sp.Row), lo, sp.Until.UnixNano()
-		if !sp.OK {
-			b.box = everywhere
-			return
-		}
 		box, legM = sp.Box, sp.LongestM
 	default:
 		b.box = everywhere // unknown model: it can be anywhere

@@ -35,33 +35,27 @@ func randomFleetAt(rng *rand.Rand, n int, spreadM float64, center geo.LatLon, ba
 			m = weirdModel{}
 		case 1: // long-haul leg, over the leg cutoff
 			far := geo.Destination(home, rng.Float64()*360, 5000+rng.Float64()*40000)
-			m = mobility.NewItinerary(begin,
-				mobility.Move{Along: geo.Path{home, far}, SpeedKmh: 40 + rng.Float64()*40},
-				mobility.Stay{At: far, For: 4 * time.Hour},
-			)
+			b := mobility.NewBuilder(begin, home)
+			b.MoveTo(far, 40+rng.Float64()*40)
+			b.Stay(4 * time.Hour)
+			m = b.Build()
 		case 2: // transit ride
-			var segs []mobility.Segment
-			cur := home
+			b := mobility.NewBuilder(begin, home)
 			bearing := rng.Float64() * 360
 			for k := 0; k < 6; k++ {
-				next := geo.Destination(cur, bearing+rng.NormFloat64()*20, 1000+rng.Float64()*1000)
-				segs = append(segs,
-					mobility.Move{Along: geo.Path{cur, next}, SpeedKmh: 20 + rng.Float64()*30},
-					mobility.Stay{At: next, For: time.Duration(30+rng.Intn(60)) * time.Second})
-				cur = next
+				next := geo.Destination(b.Pos(), bearing+rng.NormFloat64()*20, 1000+rng.Float64()*1000)
+				b.MoveTo(next, 20+rng.Float64()*30)
+				b.Stay(time.Duration(30+rng.Intn(60)) * time.Second)
 			}
-			m = mobility.NewItinerary(begin, segs...)
+			m = b.Build()
 		case 3, 4, 5: // local wander
-			var segs []mobility.Segment
-			cur := home
+			b := mobility.NewBuilder(begin, home)
 			for k := 0; k < 3; k++ {
 				next := geo.Destination(home, rng.Float64()*360, rng.Float64()*400)
-				segs = append(segs,
-					mobility.Move{Along: geo.Path{cur, next}, SpeedKmh: 3 + rng.Float64()*3},
-					mobility.Stay{At: next, For: time.Duration(1+rng.Intn(60)) * time.Minute})
-				cur = next
+				b.MoveTo(next, 3+rng.Float64()*3)
+				b.Stay(time.Duration(1+rng.Intn(60)) * time.Minute)
 			}
-			m = mobility.NewItinerary(begin, segs...)
+			m = b.Build()
 		default:
 			m = mobility.Stationary(home)
 		}
@@ -375,7 +369,9 @@ func TestNearWindowEdges(t *testing.T) {
 	}
 
 	west, east := geo.LatLon{Lat: 79, Lon: 15}, geo.LatLon{Lat: 79, Lon: 15.113} // 2.4 km apart
-	leg := mobility.NewItinerary(t0, mobility.Move{Along: geo.Path{west, east}, SpeedKmh: 4.8})
+	b := mobility.NewBuilder(t0, west)
+	b.MoveTo(east, 4.8)
+	leg := b.Build()
 	mid := t0.Add(leg.End().Sub(t0) / 2)
 	if bow := (leg.Pos(mid).Lat - max(west.Lat, east.Lat)) * math.Pi / 180 * geo.EarthRadiusMeters; bow < 0.3 {
 		t.Fatalf("the leg bows only %.3f m past its endpoints", bow)

@@ -23,9 +23,10 @@ func bandFleet(rng *rand.Rand, n int, spreadM float64) *Fleet {
 		var m mobility.Model
 		if i%200 == 0 {
 			far := geo.Destination(home, rng.Float64()*360, 20000+rng.Float64()*20000)
-			m = mobility.NewItinerary(t0,
-				mobility.Move{Along: geo.Path{home, far}, SpeedKmh: 60},
-				mobility.Stay{At: far, For: 4 * time.Hour})
+			b := mobility.NewBuilder(t0, home)
+			b.MoveTo(far, 60)
+			b.Stay(4 * time.Hour)
+			m = b.Build()
 		} else {
 			m = mobility.Stationary(home)
 		}

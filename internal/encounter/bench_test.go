@@ -34,14 +34,16 @@ func benchFleet(n int) []*device.Device {
 		case i%100 == 0: // 1%: metro commuter, always checked while active
 			commuter = true
 			far := geo.Destination(home, rng.Float64()*360, 5000+rng.Float64()*10000)
-			m = mobility.NewItinerary(t0,
-				mobility.Move{Along: geo.Path{home, far}, SpeedKmh: 45},
-				mobility.Stay{At: far, For: 6 * time.Hour})
+			b := mobility.NewBuilder(t0, home)
+			b.MoveTo(far, 45)
+			b.Stay(6 * time.Hour)
+			m = b.Build()
 		case i%100 < 16: // 15%: local wanderer
 			spot := geo.Destination(home, rng.Float64()*360, 100+rng.Float64()*300)
-			m = mobility.NewItinerary(t0,
-				mobility.Move{Along: geo.Path{home, spot}, SpeedKmh: 4},
-				mobility.Stay{At: spot, For: 8 * time.Hour})
+			b := mobility.NewBuilder(t0, home)
+			b.MoveTo(spot, 4)
+			b.Stay(8 * time.Hour)
+			m = b.Build()
 		default: // 84%: at home
 			m = mobility.Stationary(home)
 		}

@@ -111,18 +111,10 @@ type Plane struct {
 	// logger) can read Stats concurrently with a running scan loop, and
 	// so sharded scan workers can bump them without coordination (adds
 	// commute, so totals match the serial path exactly).
-	ticks      atomic.Uint64
-	heard      atomic.Uint64
-	reported   atomic.Uint64
-	delivered  atomic.Uint64
-	reportsLog []trace.Report
-	// RetainLog opts in to retaining every delivered report in
-	// reportsLog (diagnostics; the clouds keep their own accepted
-	// history). Off by default: a continental-scale world delivers
-	// millions of reports, and streamed runs already sink them to the
-	// pipeline — re-accumulating them here would defeat the bounded-
-	// memory point of streaming.
-	RetainLog bool
+	ticks     atomic.Uint64
+	heard     atomic.Uint64
+	reported  atomic.Uint64
+	delivered atomic.Uint64
 
 	// Scan hot-path state, all plane-owned so a tick allocates nothing:
 	// tickKey is the RFC3339Nano scan instant formatted once per tick;
@@ -407,9 +399,6 @@ func (p *Plane) schedule(pr pendingReport) {
 		if svc.Ingest(rep) {
 			p.delivered.Add(1)
 			obsDelivered.Inc()
-			if p.RetainLog {
-				p.reportsLog = append(p.reportsLog, rep)
-			}
 		}
 	})
 }
@@ -434,9 +423,6 @@ func (p *Plane) Stats() (heard, reported, delivered uint64) {
 // Ticks returns the number of scan windows evaluated so far. Safe for
 // concurrent use.
 func (p *Plane) Ticks() uint64 { return p.ticks.Load() }
-
-// Log returns the delivered-report log when RetainLog is set.
-func (p *Plane) Log() []trace.Report { return p.reportsLog }
 
 // ExpectedHearProb exposes the plane's hear-probability computation for
 // calibration tests: the probability a single device at distance d hears

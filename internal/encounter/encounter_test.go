@@ -25,6 +25,9 @@ type world struct {
 	samsung  *cloud.Service
 	airTag   *tag.Tag
 	smartTag *tag.Tag
+	// log is every report the clouds accepted, in delivery order, as
+	// their Taps saw it.
+	log []trace.Report
 }
 
 // buildWorld places both tags at the origin with nApple iPhones and
@@ -54,9 +57,11 @@ func buildWorld(nApple, nSamsung int, distM float64, cfg Config) *world {
 		trace.VendorSamsung: samsung,
 	}
 	plane := New(cfg, e, fleet, []*tag.Tag{air, smart}, services)
-	plane.RetainLog = true
+	w := &world{engine: e, plane: plane, apple: apple, samsung: samsung, airTag: air, smartTag: smart}
+	apple.Tap = func(r trace.Report) { w.log = append(w.log, r) }
+	samsung.Tap = apple.Tap
 	plane.Attach(t0)
-	return &world{engine: e, plane: plane, apple: apple, samsung: samsung, airTag: air, smartTag: smart}
+	return w
 }
 
 func deviceID(prefix string, i int) string {
@@ -180,7 +185,7 @@ func TestDeterministicReplay(t *testing.T) {
 		w := buildWorld(20, 20, 20, Config{})
 		w.engine.RunFor(2 * time.Hour)
 		h, r, d := w.plane.Stats()
-		return h, r, d, len(w.plane.Log())
+		return h, r, d, len(w.log)
 	}
 	h1, r1, d1, l1 := run()
 	h2, r2, d2, l2 := run()
@@ -192,7 +197,7 @@ func TestDeterministicReplay(t *testing.T) {
 func TestReportDelayApplied(t *testing.T) {
 	w := buildWorld(5, 0, 10, Config{})
 	w.engine.RunFor(time.Hour)
-	for _, r := range w.plane.Log() {
+	for _, r := range w.log {
 		if r.T.Before(r.HeardAt) {
 			t.Fatal("report delivered before it was heard")
 		}
@@ -242,7 +247,9 @@ func TestMovingTagPicksUpRoadsideDevices(t *testing.T) {
 	}
 	fleet := device.NewFleet(origin, devices)
 	dest := geo.Destination(origin, 90, 2000)
-	walker := mobility.NewItinerary(t0, mobility.Move{Along: geo.Path{origin, dest}, SpeedKmh: 5})
+	b := mobility.NewBuilder(t0, origin)
+	b.MoveTo(dest, 5)
+	walker := b.Build()
 	air := tag.New("airtag-1", tag.AirTagProfile(), walker, 3, t0)
 	apple := cloud.NewService(trace.VendorApple)
 	plane := New(Config{}, e, fleet, []*tag.Tag{air}, map[trace.Vendor]*cloud.Service{trace.VendorApple: apple})

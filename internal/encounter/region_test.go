@@ -14,9 +14,10 @@ import (
 
 // regionRun simulates a fresh many-tag world for an hour under the given
 // plane config and returns everything the simulation emits: the ordered
-// delivered-report log, the plane counters, per-tag beacon totals, and
-// each cloud's accepted/dropped stats. Two runs are "the same simulation"
-// iff all of it matches — the log captures event order, not just totals.
+// delivered-report log (every cloud's Tap appends to the one slice), the
+// plane counters, per-tag beacon totals, and each cloud's
+// accepted/dropped stats. Two runs are "the same simulation" iff all of
+// it matches — the log captures event order, not just totals.
 type regionRunResult struct {
 	log       []trace.Report
 	heard     uint64
@@ -34,15 +35,16 @@ func regionRun(cfg Config) regionRunResult {
 	e := sim.NewEngine(t0, 99)
 	p := New(cfg, e, fleet, tags, services)
 	defer p.Close()
-	p.RetainLog = true
-	p.Attach(t0)
-	e.RunFor(time.Hour)
 	res := regionRunResult{
-		log:      p.Log(),
 		beacons:  make([]uint64, len(tags)),
 		accepted: map[trace.Vendor]uint64{},
 		dropped:  map[trace.Vendor]uint64{},
 	}
+	for _, svc := range services {
+		svc.Tap = func(r trace.Report) { res.log = append(res.log, r) }
+	}
+	p.Attach(t0)
+	e.RunFor(time.Hour)
 	res.heard, res.reported, res.delivered = p.Stats()
 	for i, tg := range tags {
 		res.beacons[i] = tg.BeaconsEmitted()

@@ -43,25 +43,11 @@ func (c *RoutineConfig) defaults() {
 func DailyRoutine(rng *rand.Rand, cfg RoutineConfig, startDay time.Time, days int) *Itinerary {
 	cfg.defaults()
 	day0 := startDay.UTC().Truncate(24 * time.Hour)
-	var segments []Segment
-	cur := cfg.Home
-	// clock tracks the next unscheduled instant as an offset from day0.
-	clock := time.Duration(0)
-
-	stayUntil := func(until time.Duration) {
-		if until > clock {
-			segments = append(segments, Stay{At: cur, For: until - clock})
-			clock = until
-		}
-	}
+	b := NewBuilder(day0, cfg.Home)
 	travelTo := func(dest geo.LatLon) {
-		if dest == cur {
-			return
+		if dest != b.Pos() {
+			b.MoveTo(dest, travelSpeed(rng, b.Pos(), dest))
 		}
-		mv := travelLeg(rng, cur, dest)
-		segments = append(segments, mv)
-		clock += mv.Duration()
-		cur = dest
 	}
 	pickVenue := func() geo.LatLon {
 		if len(cfg.Venues) > 0 {
@@ -77,32 +63,28 @@ func DailyRoutine(rng *rand.Rand, cfg RoutineConfig, startDay time.Time, days in
 
 		if !weekend && !cfg.Work.IsZero() {
 			// Leave home between 7:30 and 9:00.
-			leave := dayStart + 7*time.Hour + 30*time.Minute + randDur(rng, 90*time.Minute)
-			stayUntil(leave)
+			b.StayUntil(dayStart + 7*time.Hour + 30*time.Minute + randDur(rng, 90*time.Minute))
 			travelTo(cfg.Work)
 			// Lunch walk half the time, 12:00-13:30.
 			if rng.Float64() < 0.5 {
 				lunch := dayStart + 12*time.Hour + randDur(rng, time.Hour)
-				if lunch > clock {
-					stayUntil(lunch)
-					spot := geo.Destination(cfg.Work, rng.Float64()*360, 100+rng.Float64()*400)
-					travelTo(spot)
-					stayUntil(clock + 20*time.Minute + randDur(rng, 20*time.Minute))
+				if lunch > b.Elapsed() {
+					b.StayUntil(lunch)
+					travelTo(geo.Destination(cfg.Work, rng.Float64()*360, 100+rng.Float64()*400))
+					b.Stay(20*time.Minute + randDur(rng, 20*time.Minute))
 					travelTo(cfg.Work)
 				}
 			}
 			// Head home between 17:00 and 18:30.
-			leaveWork := dayStart + 17*time.Hour + randDur(rng, 90*time.Minute)
-			stayUntil(leaveWork)
+			b.StayUntil(dayStart + 17*time.Hour + randDur(rng, 90*time.Minute))
 			travelTo(cfg.Home)
 		} else if weekend {
 			// Weekend midday outing with high probability and long
 			// stays: more people outdoors, more reporting encounters.
 			if rng.Float64() < 0.9 {
-				out := dayStart + 10*time.Hour + randDur(rng, 2*time.Hour)
-				stayUntil(out)
+				b.StayUntil(dayStart + 10*time.Hour + randDur(rng, 2*time.Hour))
 				travelTo(pickVenue())
-				stayUntil(clock + 90*time.Minute + randDur(rng, 150*time.Minute))
+				b.Stay(90*time.Minute + randDur(rng, 150*time.Minute))
 				travelTo(cfg.Home)
 			}
 		} else {
@@ -110,10 +92,9 @@ func DailyRoutine(rng *rand.Rand, cfg RoutineConfig, startDay time.Time, days in
 			// the venues populated during working hours too, though far
 			// less than on weekends.
 			if rng.Float64() < 0.35 {
-				out := dayStart + 10*time.Hour + randDur(rng, 4*time.Hour)
-				stayUntil(out)
+				b.StayUntil(dayStart + 10*time.Hour + randDur(rng, 4*time.Hour))
 				travelTo(pickVenue())
-				stayUntil(clock + time.Hour + randDur(rng, time.Hour))
+				b.Stay(time.Hour + randDur(rng, time.Hour))
 				travelTo(cfg.Home)
 			}
 		}
@@ -125,38 +106,35 @@ func DailyRoutine(rng *rand.Rand, cfg RoutineConfig, startDay time.Time, days in
 		}
 		if rng.Float64() < outingProb {
 			out := dayStart + 19*time.Hour + randDur(rng, 2*time.Hour)
-			if out > clock {
-				stayUntil(out)
+			if out > b.Elapsed() {
+				b.StayUntil(out)
 				travelTo(pickVenue())
-				stayUntil(clock + 45*time.Minute + randDur(rng, 90*time.Minute))
+				b.Stay(45*time.Minute + randDur(rng, 90*time.Minute))
 				travelTo(cfg.Home)
 			}
 		}
 
 		// Home (or wherever we ended up) until midnight.
-		stayUntil(dayStart + 24*time.Hour)
+		b.StayUntil(dayStart + 24*time.Hour)
 	}
-	return NewItinerary(day0, segments...)
+	return b.Build()
 }
 
-// travelLeg picks a travel mode by distance: short hops are walked, medium
-// ones occasionally jogged, long ones ride transit.
-func travelLeg(rng *rand.Rand, from, to geo.LatLon) Move {
+// travelSpeed picks a travel mode by distance: short hops are walked,
+// medium ones occasionally jogged, long ones ride transit.
+func travelSpeed(rng *rand.Rand, from, to geo.LatLon) float64 {
 	d := geo.Distance(from, to)
-	var speed float64
 	switch {
 	case d < 600:
-		speed = 3.5 + rng.Float64()*2 // walk, 3.5-5.5 km/h
+		return 3.5 + rng.Float64()*2 // walk, 3.5-5.5 km/h
 	case d < 2000:
 		if rng.Float64() < 0.15 {
-			speed = 7 + rng.Float64()*4 // jog, 7-11 km/h
-		} else {
-			speed = 4 + rng.Float64()*1.5
+			return 7 + rng.Float64()*4 // jog, 7-11 km/h
 		}
+		return 4 + rng.Float64()*1.5
 	default:
-		speed = 18 + rng.Float64()*22 // transit, 18-40 km/h
+		return 18 + rng.Float64()*22 // transit, 18-40 km/h
 	}
-	return Move{Along: geo.Path{from, to}, SpeedKmh: speed}
 }
 
 func randDur(rng *rand.Rand, max time.Duration) time.Duration {

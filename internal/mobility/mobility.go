@@ -1,7 +1,8 @@
 // Package mobility models how tags, vantage points, and reporting devices
-// move: stationary posts, waypoint routes at a mode-specific speed, random
-// waypoint wanderers, and the daily home/work/venue routines that drive
-// crowd encounters.
+// move: stationary posts, and itineraries of stays and constant-speed
+// legs, among them the daily home/work/venue routines that drive crowd
+// encounters. A Builder lays an itinerary down leg by leg as a compact
+// table of rows, the one form every itinerary takes.
 //
 // Models are pure functions of virtual time (Pos(t)), which keeps the
 // simulation deterministic and lets any subsystem — the radio plane, the
@@ -12,7 +13,7 @@ package mobility
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"slices"
 	"time"
 
 	"tagsim/internal/geo"
@@ -73,157 +74,103 @@ type Stationary geo.LatLon
 // Pos implements Model.
 func (s Stationary) Pos(time.Time) geo.LatLon { return geo.LatLon(s) }
 
-// Segment is one piece of an itinerary.
-type Segment interface {
-	// Duration is how long the segment takes.
-	Duration() time.Duration
-	// PosAt returns the position elapsed into the segment; elapsed is
-	// clamped to [0, Duration].
-	PosAt(elapsed time.Duration) geo.LatLon
-	// End returns the final position.
-	End() geo.LatLon
-}
-
-// Stay holds a position for a duration.
-type Stay struct {
-	At  geo.LatLon
-	For time.Duration
-}
-
-// Duration implements Segment.
-func (s Stay) Duration() time.Duration { return s.For }
-
-// PosAt implements Segment.
-func (s Stay) PosAt(time.Duration) geo.LatLon { return s.At }
-
-// End implements Segment.
-func (s Stay) End() geo.LatLon { return s.At }
-
-// Move traverses a path at constant speed.
-type Move struct {
-	Along    geo.Path
-	SpeedKmh float64
-}
-
-// Duration implements Segment.
-func (m Move) Duration() time.Duration {
-	if m.SpeedKmh <= 0 {
-		return 0
-	}
-	sec := m.Along.Length() / geo.KmhToMs(m.SpeedKmh)
-	return time.Duration(sec * float64(time.Second))
-}
-
-// PosAt implements Segment.
-func (m Move) PosAt(elapsed time.Duration) geo.LatLon {
-	if len(m.Along) == 0 {
-		return geo.LatLon{}
-	}
-	d := geo.KmhToMs(m.SpeedKmh) * elapsed.Seconds()
-	return m.Along.At(d)
-}
-
-// End implements Segment.
-func (m Move) End() geo.LatLon {
-	if len(m.Along) == 0 {
-		return geo.LatLon{}
-	}
-	return m.Along[len(m.Along)-1]
-}
-
-// Itinerary is a timed sequence of segments starting at a fixed instant.
-// Before the start it reports the first position; after the last segment it
-// reports the final position.
+// Itinerary is a timed sequence of stays and straight legs that starts
+// at a fixed instant from an origin. Before the start it reports the
+// origin; after the last row it reports the final position.
 //
-// The segments are stored as a compact table with one row per kept
-// segment: its end point, its speed in km/h and its start offset. A Stay
-// is a row with speed 0. A two-point Move that starts at the previous
-// row's end needs no start point: its row holds its speed. Any other
-// segment is kept whole in side, and its row's speed is -(k+1) for
-// side[k]. A row is 32 bytes, against roughly 90 for a boxed segment
-// with its own path and offset, and Pos evaluates the same arithmetic
-// float for float.
+// It is a table with one 32-byte row per stay or leg: the row's end
+// point, its speed in km/h and its start offset. A stay is a row with
+// speed 0. A leg has a positive speed and runs along the great circle
+// from where the previous row ends (the origin, for the first row) to
+// its own end. A Builder fills the table; an itinerary never changes
+// after Build, so any number of devices may share one.
 type Itinerary struct {
-	Start time.Time
-	rows  []row
-	side  []Segment
-	total time.Duration
+	Start  time.Time
+	origin geo.LatLon
+	rows   []row
+	total  time.Duration
 }
 
-// row is one segment of an itinerary's table.
+// row is one stay or leg of an itinerary's table.
 type row struct {
 	end    geo.LatLon
-	speed  float64       // km/h: 0 for a Stay, > 0 for a chained Move, -(k+1) for side[k]
+	speed  float64       // km/h: 0 for a stay, > 0 for a leg
 	offset time.Duration // start offset from Itinerary.Start
 }
 
-// NewItinerary builds an itinerary from segments. Zero-duration segments
-// are allowed (instant teleports are not: a Move with zero speed
-// contributes nothing and is skipped).
-func NewItinerary(start time.Time, segments ...Segment) *Itinerary {
-	it := &Itinerary{Start: start, rows: make([]row, 0, len(segments))}
-	for _, s := range segments {
-		d := s.Duration()
-		if d <= 0 {
-			continue
-		}
-		r := row{offset: it.total}
-		switch seg := s.(type) {
-		case Stay:
-			r.end = seg.At
-		case Move:
-			if n := len(it.rows); n > 0 && len(seg.Along) == 2 && sameBits(seg.Along[0], it.rows[n-1].end) {
-				r.end, r.speed = seg.Along[1], seg.SpeedKmh
-				break
-			}
-			r.end, r.speed = it.keep(s)
-		default:
-			r.end, r.speed = it.keep(s)
-		}
-		it.rows = append(it.rows, r)
-		it.total += d
+// Builder appends an itinerary's rows one stay or leg at a time. Every
+// leg starts where the builder stands: the origin, or the end of the
+// last row.
+type Builder struct {
+	it Itinerary
+}
+
+// NewBuilder starts an itinerary at start, standing at origin.
+func NewBuilder(start time.Time, origin geo.LatLon) *Builder {
+	return &Builder{it: Itinerary{Start: start, origin: origin}}
+}
+
+// Pos returns where the builder stands.
+func (b *Builder) Pos() geo.LatLon { return b.it.at(len(b.it.rows)) }
+
+// Elapsed returns how long the rows so far take.
+func (b *Builder) Elapsed() time.Duration { return b.it.total }
+
+// Stay waits for d where the builder stands; d <= 0 adds nothing.
+func (b *Builder) Stay(d time.Duration) {
+	if d > 0 {
+		b.it.rows = append(b.it.rows, row{end: b.Pos(), offset: b.it.total})
+		b.it.total += d
 	}
-	return it
 }
 
-// keep stores a segment the table cannot encode and returns its row's
-// end point and speed code.
-func (it *Itinerary) keep(s Segment) (geo.LatLon, float64) {
-	it.side = append(it.side, s)
-	return s.End(), -float64(len(it.side))
+// StayUntil waits until elapsed after the start; a moment already
+// passed adds nothing.
+func (b *Builder) StayUntil(elapsed time.Duration) { b.Stay(elapsed - b.it.total) }
+
+// MoveTo travels from where the builder stands to dest at kmh and
+// returns how long the leg takes: its haversine length over the speed,
+// truncated to whole nanoseconds. A leg that takes no time (no distance,
+// or no speed) adds no row and leaves the builder where it stood.
+func (b *Builder) MoveTo(dest geo.LatLon, kmh float64) time.Duration {
+	if kmh <= 0 {
+		return 0
+	}
+	sec := geo.Distance(b.Pos(), dest) / geo.KmhToMs(kmh)
+	d := time.Duration(sec * float64(time.Second))
+	if d > 0 {
+		b.it.rows = append(b.it.rows, row{end: dest, speed: kmh, offset: b.it.total})
+		b.it.total += d
+	}
+	return d
 }
 
-// sameBits reports whether two positions are equal bit for bit, so a
-// Move chained onto the previous row starts from the very floats its
-// own path held.
-func sameBits(a, b geo.LatLon) bool {
-	return math.Float64bits(a.Lat) == math.Float64bits(b.Lat) && math.Float64bits(a.Lon) == math.Float64bits(b.Lon)
+// Build returns the itinerary, its table sized exactly: a campaign keeps
+// millions of rows alive. The builder is done after Build.
+func (b *Builder) Build() *Itinerary {
+	it := b.it
+	it.rows = slices.Clone(it.rows)
+	return &it
 }
 
 // End returns when the itinerary finishes.
 func (it *Itinerary) End() time.Time { return it.Start.Add(it.total) }
 
-// move returns row i's ground length (its Move's Along.Length()) and
-// speed, and whether it moves at all.
-func (it *Itinerary) move(i int) (lengthM, kmh float64, ok bool) {
-	r := it.rows[i]
-	switch {
-	case r.speed > 0:
-		return geo.Path{it.rows[i-1].end, r.end}.Length(), r.speed, true
-	case r.speed < 0:
-		if m, isMove := it.side[int(-r.speed)-1].(Move); isMove {
-			return m.Along.Length(), m.SpeedKmh, true
-		}
+// at returns where row i starts: the origin, or row i-1's end. at(n)
+// for n rows is where the itinerary ends.
+func (it *Itinerary) at(i int) geo.LatLon {
+	if i == 0 {
+		return it.origin
 	}
-	return 0, 0, false
+	return it.rows[i-1].end
 }
 
-// TotalDistanceM returns the ground distance covered by Move segments.
+// TotalDistanceM returns the ground distance covered by legs.
 func (it *Itinerary) TotalDistanceM() float64 {
 	var total float64
-	for i := range it.rows {
-		if l, _, ok := it.move(i); ok {
-			total += l
+	for i, r := range it.rows {
+		if r.speed > 0 {
+			total += geo.Distance(it.at(i), r.end)
 		}
 	}
 	return total
@@ -233,9 +180,9 @@ func (it *Itinerary) TotalDistanceM() float64 {
 // in meters — the decomposition behind Table 1's Walk/Jog/Transit columns.
 func (it *Itinerary) DistanceByClass() map[SpeedClass]float64 {
 	out := make(map[SpeedClass]float64)
-	for i := range it.rows {
-		if l, kmh, ok := it.move(i); ok {
-			out[ClassifySpeed(kmh)] += l
+	for i, r := range it.rows {
+		if r.speed > 0 {
+			out[ClassifySpeed(r.speed)] += geo.Distance(it.at(i), r.end)
 		}
 	}
 	return out
@@ -243,16 +190,12 @@ func (it *Itinerary) DistanceByClass() map[SpeedClass]float64 {
 
 // Pos implements Model.
 func (it *Itinerary) Pos(t time.Time) geo.LatLon {
-	n := len(it.rows)
-	if n == 0 {
-		return geo.LatLon{}
-	}
 	if !t.After(it.Start) {
-		return it.posIn(0, 0)
+		return it.origin
 	}
 	elapsed := t.Sub(it.Start)
 	if elapsed >= it.total {
-		return it.rows[n-1].end
+		return it.at(len(it.rows))
 	}
 	i := it.rowAt(elapsed)
 	return it.posIn(i, elapsed-it.rows[i].offset)
@@ -293,41 +236,33 @@ func (it *Itinerary) rowFrom(hint int, elapsed time.Duration) int {
 	return it.search(hint, min(hint+step, n)-1, elapsed)
 }
 
-// posIn is row i's PosAt(elapsed).
+// posIn is row i's position elapsed into it.
 func (it *Itinerary) posIn(i int, elapsed time.Duration) geo.LatLon {
 	r := &it.rows[i]
-	switch {
-	case r.speed == 0:
+	if r.speed == 0 {
 		return r.end
-	case r.speed > 0:
-		return geo.Path{it.rows[i-1].end, r.end}.At(geo.KmhToMs(r.speed) * elapsed.Seconds())
-	default:
-		return it.side[int(-r.speed)-1].PosAt(elapsed)
 	}
+	return geo.Path{it.at(i), r.end}.At(geo.KmhToMs(r.speed) * elapsed.Seconds())
 }
 
 // Span bounds an itinerary's positions over a window of time; see
 // Extent.
 type Span struct {
-	// Box holds the start and end of every segment active in the
-	// window and every waypoint of a side Move; a position along a leg
-	// follows its great circle, so it lies in Box up to the leg's
-	// poleward bow (see device.Fleet).
+	// Box holds the start and end of every row active in the window; a
+	// position along a leg follows its great circle, so it lies in Box
+	// up to the leg's poleward bow (see device.Fleet).
 	Box geo.BBox
-	// LongestM is the longest leg among those segments.
+	// LongestM is the longest leg among those rows.
 	LongestM float64
 	// Until bounds the later windows Box also holds: one that opens no
-	// earlier and closes by Until covers the same segments or fewer.
-	// When the window lies in one segment, Until is that segment's end
-	// and such windows have exactly this Box; otherwise it is the
-	// window's own end.
+	// earlier and closes by Until covers the same rows or fewer. When
+	// the window lies in one row, Until is that row's end and such
+	// windows have exactly this Box; otherwise it is the window's own
+	// end.
 	Until time.Time
-	// Row is the segment the window opens in: any later window's
-	// search starts there.
+	// Row is the row the window opens in: any later window's search
+	// starts there.
 	Row int
-	// OK is false when a covered segment is neither a Stay nor a Move,
-	// whose positions nothing bounds.
-	OK bool
 }
 
 // forever is the Until of a span that holds for good: the last instant
@@ -335,24 +270,20 @@ type Span struct {
 var forever = time.Unix(0, math.MaxInt64)
 
 // Extent bounds where the itinerary can be during [from, to). Before
-// the start it is at its first segment's start, and after the end at
-// its last segment's end; an empty window yields the position at from.
-// hint is any segment number; passing the previous window's Row keeps
-// a caller that steps forward through time from searching the whole
-// table.
+// the start it is at its origin, and after the end at its last row's
+// end; an empty window yields the position at from. hint is any row
+// number; passing the previous window's Row keeps a caller that steps
+// forward through time from searching the whole table.
 func (it *Itinerary) Extent(from, to time.Time, hint int) Span {
 	n := len(it.rows)
-	if n == 0 {
-		return Span{Until: forever, OK: true}
-	}
 	a, b := from.Sub(it.Start), to.Sub(it.Start)
 	if b > a {
 		b-- // the window's last instant
 	} else {
 		b = a
 	}
-	if a >= it.total { // after the end throughout
-		return Span{Box: geo.NewBBox(it.rows[n-1].end), Until: forever, Row: n - 1, OK: true}
+	if n == 0 || a >= it.total { // at the end throughout
+		return Span{Box: geo.NewBBox(it.at(n)), Until: forever, Row: max(n-1, 0)}
 	}
 	i0 := 0
 	if a > 0 {
@@ -362,7 +293,7 @@ func (it *Itinerary) Extent(from, to time.Time, hint int) Span {
 	for i1+1 < n && it.rows[i1+1].offset <= b {
 		i1++
 	}
-	sp := Span{Box: geo.NewBBox(it.rows[i0].end), Until: to, Row: i0, OK: true}
+	sp := Span{Box: geo.NewBBox(it.rows[i0].end), Until: to, Row: i0}
 	if i1 == i0 {
 		sp.Until = it.End()
 		if i1+1 < n {
@@ -372,27 +303,16 @@ func (it *Itinerary) Extent(from, to time.Time, hint int) Span {
 	for i := i0; i <= i1; i++ {
 		r := it.rows[i]
 		sp.Box = sp.Box.Extend(r.end)
-		switch {
-		case r.speed > 0:
-			sp.Box = sp.Box.Extend(it.rows[i-1].end)
+		if r.speed > 0 {
+			sp.Box = sp.Box.Extend(it.at(i))
 			// The table keeps no length; speed × duration is the leg's
 			// length less at most one nanosecond of travel, because
-			// Move.Duration truncates to whole nanoseconds.
+			// MoveTo truncates to whole nanoseconds.
 			next := it.total
 			if i+1 < n {
 				next = it.rows[i+1].offset
 			}
 			sp.LongestM = max(sp.LongestM, geo.KmhToMs(r.speed)*(next-r.offset).Seconds())
-		case r.speed < 0:
-			m, isMove := it.side[int(-r.speed)-1].(Move)
-			if !isMove {
-				sp.OK = false
-				continue
-			}
-			for _, wp := range m.Along {
-				sp.Box = sp.Box.Extend(wp)
-			}
-			sp.LongestM = max(sp.LongestM, m.Along.Length())
 		}
 	}
 	return sp
@@ -409,39 +329,4 @@ func SpeedKmhAt(m Model, t time.Time, window time.Duration) float64 {
 	a := m.Pos(t.Add(-half))
 	b := m.Pos(t.Add(half))
 	return geo.MsToKmh(geo.Distance(a, b) / window.Seconds())
-}
-
-// RandomWaypoint generates a random-waypoint itinerary inside a bounding
-// box: pick a point, move there at a random speed from [minKmh, maxKmh],
-// pause for [minPause, maxPause], repeat until the horizon is covered.
-func RandomWaypoint(rng *rand.Rand, box geo.BBox, minKmh, maxKmh float64, minPause, maxPause time.Duration, start time.Time, horizon time.Duration) *Itinerary {
-	if minKmh <= 0 || maxKmh < minKmh {
-		panic("mobility: invalid RandomWaypoint speed range")
-	}
-	randPoint := func() geo.LatLon {
-		return geo.LatLon{
-			Lat: box.MinLat + rng.Float64()*(box.MaxLat-box.MinLat),
-			Lon: box.MinLon + rng.Float64()*(box.MaxLon-box.MinLon),
-		}
-	}
-	cur := randPoint()
-	var segments []Segment
-	var elapsed time.Duration
-	for elapsed < horizon {
-		next := randPoint()
-		speed := minKmh + rng.Float64()*(maxKmh-minKmh)
-		mv := Move{Along: geo.Path{cur, next}, SpeedKmh: speed}
-		segments = append(segments, mv)
-		elapsed += mv.Duration()
-		cur = next
-		pause := minPause
-		if maxPause > minPause {
-			pause += time.Duration(rng.Int63n(int64(maxPause - minPause)))
-		}
-		if pause > 0 {
-			segments = append(segments, Stay{At: cur, For: pause})
-			elapsed += pause
-		}
-	}
-	return NewItinerary(start, segments...)
 }

@@ -49,34 +49,37 @@ func TestStationary(t *testing.T) {
 
 func TestMoveTiming(t *testing.T) {
 	dest := geo.Destination(origin, 90, 1000)
-	m := Move{Along: geo.Path{origin, dest}, SpeedKmh: 3.6} // 1 m/s
-	if d := m.Duration(); math.Abs(d.Seconds()-1000) > 1 {
-		t.Fatalf("Duration = %v, want ~1000s", d)
+	b := NewBuilder(start, origin)
+	d := b.MoveTo(dest, 3.6) // 1 m/s
+	if math.Abs(d.Seconds()-1000) > 1 {
+		t.Fatalf("MoveTo = %v, want ~1000s", d)
 	}
-	mid := m.PosAt(500 * time.Second)
+	if b.Pos() != dest || b.Elapsed() != d {
+		t.Error("builder does not stand at the leg's end after it")
+	}
+	it := b.Build()
+	mid := it.Pos(start.Add(500 * time.Second))
 	if d := geo.Distance(origin, mid); math.Abs(d-500) > 2 {
-		t.Errorf("PosAt(500s) is %.1f m along, want 500", d)
+		t.Errorf("Pos(500s) is %.1f m along, want 500", d)
 	}
-	if geo.Distance(m.End(), dest) > 0.01 {
-		t.Error("End() mismatch")
+	if it.Pos(it.End()) != dest {
+		t.Error("leg does not end at its destination")
 	}
-	// Zero-speed move is degenerate.
-	if (Move{Along: geo.Path{origin, dest}}).Duration() != 0 {
-		t.Error("zero-speed move must have zero duration")
-	}
-	if !(Move{}).End().IsZero() || !(Move{}).PosAt(0).IsZero() {
-		t.Error("empty move should return zero positions")
+	// A zero-speed leg is degenerate: no time, no row, no movement.
+	z := NewBuilder(start, origin)
+	if z.MoveTo(dest, 0) != 0 || z.Pos() != origin || len(z.Build().rows) != 0 {
+		t.Error("zero-speed leg must take no time and leave the builder in place")
 	}
 }
 
 func TestItineraryPos(t *testing.T) {
 	a := origin
 	b := geo.Destination(a, 90, 360) // 6 min at 3.6 km/h
-	it := NewItinerary(start,
-		Stay{At: a, For: 10 * time.Minute},
-		Move{Along: geo.Path{a, b}, SpeedKmh: 3.6},
-		Stay{At: b, For: 10 * time.Minute},
-	)
+	bl := NewBuilder(start, a)
+	bl.Stay(10 * time.Minute)
+	bl.MoveTo(b, 3.6)
+	bl.Stay(10 * time.Minute)
+	it := bl.Build()
 	// Before start.
 	if it.Pos(start.Add(-time.Hour)) != a {
 		t.Error("pre-start position should be the first point")
@@ -101,34 +104,38 @@ func TestItineraryPos(t *testing.T) {
 }
 
 func TestItinerarySkipsDegenerateSegments(t *testing.T) {
-	it := NewItinerary(start,
-		Stay{At: origin, For: 0},
-		Move{Along: geo.Path{origin}, SpeedKmh: 5},
-		Stay{At: origin, For: time.Minute},
-	)
-	if len(it.rows) != 1 {
-		t.Errorf("kept %d segments, want 1", len(it.rows))
+	b := NewBuilder(start, origin)
+	b.Stay(0)
+	b.MoveTo(origin, 5)                          // no distance
+	b.MoveTo(geo.Destination(origin, 0, 100), 0) // no speed
+	b.StayUntil(-time.Minute)                    // already passed
+	b.Stay(time.Minute)
+	if it := b.Build(); len(it.rows) != 1 || it.total != time.Minute {
+		t.Errorf("kept %d rows over %v, want 1 over 1m", len(it.rows), it.total)
 	}
 }
 
 func TestEmptyItinerary(t *testing.T) {
-	it := NewItinerary(start)
-	if !it.Pos(start).IsZero() {
-		t.Error("empty itinerary should report zero position")
+	it := NewBuilder(start, origin).Build()
+	if it.Pos(start.Add(-time.Hour)) != origin || it.Pos(start) != origin || it.Pos(start.Add(time.Hour)) != origin {
+		t.Error("empty itinerary should stay at its origin")
 	}
 	if !it.End().Equal(start) {
 		t.Error("empty itinerary ends at start")
+	}
+	if sp := it.Extent(start.Add(-time.Hour), start.Add(time.Hour), 0); sp.Box != geo.NewBBox(origin) || sp.Row != 0 || sp.LongestM != 0 {
+		t.Errorf("empty itinerary's extent %+v is not its origin", sp)
 	}
 }
 
 func TestItineraryDistances(t *testing.T) {
 	b := geo.Destination(origin, 0, 1000)
 	c := geo.Destination(b, 0, 2000)
-	it := NewItinerary(start,
-		Move{Along: geo.Path{origin, b}, SpeedKmh: 5}, // walk 1 km
-		Move{Along: geo.Path{b, c}, SpeedKmh: 30},     // transit 2 km
-		Stay{At: c, For: time.Hour},
-	)
+	bl := NewBuilder(start, origin)
+	bl.MoveTo(b, 5)  // walk 1 km
+	bl.MoveTo(c, 30) // transit 2 km
+	bl.Stay(time.Hour)
+	it := bl.Build()
 	if d := it.TotalDistanceM(); math.Abs(d-3000) > 5 {
 		t.Errorf("TotalDistanceM = %.1f", d)
 	}
@@ -141,30 +148,53 @@ func TestItineraryDistances(t *testing.T) {
 	}
 }
 
-// glide is a Segment other than Stay and Move: the table keeps it whole
-// on the side, and Extent cannot bound it.
-type glide struct{ from, to geo.LatLon }
-
-func (g glide) Duration() time.Duration { return time.Minute }
-func (g glide) PosAt(elapsed time.Duration) geo.LatLon {
-	if elapsed <= 0 {
-		return g.from
-	}
-	return g.to
+// segment, stay and move are the boxed segments itineraries were built
+// from before Builder, kept here as the table's oracle.
+type segment interface {
+	Duration() time.Duration
+	PosAt(elapsed time.Duration) geo.LatLon
+	End() geo.LatLon
 }
-func (g glide) End() geo.LatLon { return g.to }
+
+type stay struct {
+	At  geo.LatLon
+	For time.Duration
+}
+
+func (s stay) Duration() time.Duration        { return s.For }
+func (s stay) PosAt(time.Duration) geo.LatLon { return s.At }
+func (s stay) End() geo.LatLon                { return s.At }
+
+type move struct {
+	Along    geo.Path
+	SpeedKmh float64
+}
+
+func (m move) Duration() time.Duration {
+	if m.SpeedKmh <= 0 {
+		return 0
+	}
+	sec := m.Along.Length() / geo.KmhToMs(m.SpeedKmh)
+	return time.Duration(sec * float64(time.Second))
+}
+
+func (m move) PosAt(elapsed time.Duration) geo.LatLon {
+	return m.Along.At(geo.KmhToMs(m.SpeedKmh) * elapsed.Seconds())
+}
+
+func (m move) End() geo.LatLon { return m.Along[len(m.Along)-1] }
 
 // segItinerary is the segment-slice representation the compact table
-// replaced, kept as its oracle: NewItinerary, Pos, TotalDistanceM and
-// DistanceByClass as they read before the table.
+// replaced: NewItinerary, Pos, TotalDistanceM and DistanceByClass as
+// they read before the table.
 type segItinerary struct {
 	start    time.Time
-	segments []Segment
+	segments []segment
 	offsets  []time.Duration
 	total    time.Duration
 }
 
-func newSegItinerary(start time.Time, segments ...Segment) *segItinerary {
+func newSegItinerary(start time.Time, segments ...segment) *segItinerary {
 	it := &segItinerary{start: start}
 	for _, s := range segments {
 		d := s.Duration()
@@ -204,7 +234,7 @@ func (it *segItinerary) Pos(t time.Time) geo.LatLon {
 func (it *segItinerary) TotalDistanceM() float64 {
 	var total float64
 	for _, s := range it.segments {
-		if m, ok := s.(Move); ok {
+		if m, ok := s.(move); ok {
 			total += m.Along.Length()
 		}
 	}
@@ -214,68 +244,91 @@ func (it *segItinerary) TotalDistanceM() float64 {
 func (it *segItinerary) DistanceByClass() map[SpeedClass]float64 {
 	out := make(map[SpeedClass]float64)
 	for _, s := range it.segments {
-		if m, ok := s.(Move); ok {
+		if m, ok := s.(move); ok {
 			out[ClassifySpeed(m.SpeedKmh)] += m.Along.Length()
 		}
 	}
 	return out
 }
 
-// randomSegments draws an itinerary's input with every shape the table
-// encodes differently: Stays, Moves chained onto the previous segment's
-// end (and the first Move, which has none), Moves that start elsewhere,
-// multi-point Moves, glides, and degenerate segments NewItinerary skips.
-func randomSegments(rng *rand.Rand) []Segment {
-	var segs []Segment
-	cur := geo.Destination(origin, rng.Float64()*360, rng.Float64()*5000)
+// replay draws a random itinerary's builder operations and applies each
+// to b and, as the segment it stands for, to the returned oracle input:
+// stays (some until a moment already passed), legs chained onto the
+// last one (an itinerary may open with one), and legs that take no time
+// because they go nowhere or have no speed. A no-op leg leaves both where
+// they stood. It fails t if MoveTo's duration or the builder's position
+// or clock leave the oracle's.
+func replay(t *testing.T, rng *rand.Rand, b *Builder) (segs []segment, noops int) {
+	t.Helper()
+	cur := b.Pos()
+	var clock time.Duration
 	for k := rng.Intn(12); k >= 0; k-- {
-		next := geo.Destination(cur, rng.Float64()*360, rng.ExpFloat64()*1500)
-		speed := 2 + rng.Float64()*40
-		switch rng.Intn(9) {
+		switch rng.Intn(8) {
 		case 0, 1:
-			segs = append(segs, Stay{At: cur, For: time.Duration(1+rng.Int63n(int64(2*time.Hour))) * time.Nanosecond})
-			continue
-		case 2, 3, 4: // chained onto the previous segment's end
-			segs = append(segs, Move{Along: geo.Path{cur, next}, SpeedKmh: speed})
-		case 5: // starts elsewhere
-			from := geo.Destination(cur, rng.Float64()*360, 1+rng.Float64()*300)
-			segs = append(segs, Move{Along: geo.Path{from, next}, SpeedKmh: speed})
-		case 6: // multi-point
-			mid := geo.Destination(cur, rng.Float64()*360, rng.Float64()*800)
-			segs = append(segs, Move{Along: geo.Path{cur, mid, next}, SpeedKmh: speed})
-		case 7:
-			segs = append(segs, glide{from: cur, to: next})
-		default: // degenerate: skipped, and the next Move chains past it
-			segs = append(segs, Stay{At: next, For: 0}, Move{Along: geo.Path{cur, next}}, Move{Along: geo.Path{cur}, SpeedKmh: speed})
-			continue
+			d := time.Duration(1+rng.Int63n(int64(2*time.Hour))) * time.Nanosecond
+			b.Stay(d)
+			segs = append(segs, stay{At: cur, For: d})
+			clock += d
+		case 2:
+			until := clock + time.Duration(rng.Int63n(int64(2*time.Hour))) - time.Hour
+			b.StayUntil(until)
+			if until > clock {
+				segs = append(segs, stay{At: cur, For: until - clock})
+				clock = until
+			} else {
+				noops++
+			}
+		case 3, 4, 5:
+			next := geo.Destination(cur, rng.Float64()*360, rng.ExpFloat64()*1500)
+			mv := move{Along: geo.Path{cur, next}, SpeedKmh: 2 + rng.Float64()*40}
+			if got, want := b.MoveTo(next, mv.SpeedKmh), mv.Duration(); got != want {
+				t.Fatalf("MoveTo took %v, oracle %v", got, want)
+			}
+			segs = append(segs, mv)
+			clock += mv.Duration()
+			cur = next
+		default: // takes no time: skipped, and the next leg chains past it
+			mv := move{Along: geo.Path{cur, cur}, SpeedKmh: 2 + rng.Float64()*40}
+			if rng.Intn(2) == 0 {
+				mv = move{Along: geo.Path{cur, geo.Destination(cur, rng.Float64()*360, 1+rng.Float64()*300)}}
+			}
+			if b.MoveTo(mv.End(), mv.SpeedKmh) != 0 || mv.Duration() != 0 {
+				t.Fatalf("a leg of %.1f m at %.1f km/h took time", mv.Along.Length(), mv.SpeedKmh)
+			}
+			segs = append(segs, mv)
+			noops++
 		}
-		cur = next
+		if b.Pos() != cur || b.Elapsed() != clock {
+			t.Fatalf("builder at %v after %v, oracle at %v after %v", b.Pos(), b.Elapsed(), cur, clock)
+		}
 	}
-	return segs
+	return segs, noops
 }
 
-// TestItineraryMatchesSegmentOracle pins the compact table to the
+// TestItineraryMatchesSegmentOracle pins the table Builder fills to the
 // segment slice it replaced, bit for bit: Pos before the start, at,
-// just before and just after every segment boundary, inside every
-// segment and after the end, and TotalDistanceM and DistanceByClass.
+// just before and just after every row boundary, inside every row and
+// after the end, and TotalDistanceM and DistanceByClass.
 func TestItineraryMatchesSegmentOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	same := func(a, b geo.LatLon) bool {
 		return math.Float64bits(a.Lat) == math.Float64bits(b.Lat) && math.Float64bits(a.Lon) == math.Float64bits(b.Lon)
 	}
-	chained, side := 0, 0
+	chained, first, noops := 0, 0, 0
 	for trial := 0; trial < 400; trial++ {
-		segs := randomSegments(rng)
-		it, want := NewItinerary(start, segs...), newSegItinerary(start, segs...)
+		b := NewBuilder(start, geo.Destination(origin, rng.Float64()*360, rng.Float64()*5000))
+		segs, n := replay(t, rng, b)
+		noops += n
+		it, want := b.Build(), newSegItinerary(start, segs...)
 		if len(it.rows) != len(want.segments) || it.total != want.total {
 			t.Fatalf("trial %d: %d rows over %v, oracle %d segments over %v", trial, len(it.rows), it.total, len(want.segments), want.total)
 		}
-		for _, r := range it.rows {
+		for i, r := range it.rows {
 			switch {
+			case r.speed > 0 && i == 0:
+				first++
 			case r.speed > 0:
 				chained++
-			case r.speed < 0:
-				side++
 			}
 		}
 		at := []time.Time{start.Add(-time.Hour), start.Add(-1), start, start.Add(1), it.End(), it.End().Add(time.Hour)}
@@ -288,7 +341,11 @@ func TestItineraryMatchesSegmentOracle(t *testing.T) {
 				start.Add(off+time.Duration(rng.Int63n(int64(end-off)))), start.Add(end-1))
 		}
 		for _, when := range at {
-			if got, w := it.Pos(when), want.Pos(when); !same(got, w) {
+			got, w := it.Pos(when), want.Pos(when)
+			if len(want.segments) == 0 {
+				w = it.origin // the oracle had no origin to report
+			}
+			if !same(got, w) {
 				t.Fatalf("trial %d: Pos(start%+v) = %v, oracle %v", trial, when.Sub(start), got, w)
 			}
 		}
@@ -305,27 +362,21 @@ func TestItineraryMatchesSegmentOracle(t *testing.T) {
 			}
 		}
 	}
-	if chained == 0 || side == 0 {
-		t.Fatalf("randomized itineraries lack a row kind: %d chained moves, %d side segments", chained, side)
+	if chained == 0 || first == 0 || noops == 0 {
+		t.Fatalf("randomized itineraries lack a shape: %d chained legs, %d opening legs, %d no-ops", chained, first, noops)
 	}
 }
 
 // TestItineraryExtentHoldsPositions: every position an itinerary takes
 // in a window lies in Extent's box, up to the great-circle bow of a leg
-// no longer than the reported longest. Only a glide, which nothing
-// bounds, makes Extent fail.
+// no longer than the reported longest.
 func TestItineraryExtentHoldsPositions(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	const mPerDeg = geo.EarthRadiusMeters * math.Pi / 180
-	failed := 0
 	for trial := 0; trial < 300; trial++ {
-		segs := randomSegments(rng)
-		hasGlide := false
-		for _, s := range segs {
-			_, g := s.(glide)
-			hasGlide = hasGlide || g
-		}
-		it := NewItinerary(start, segs...)
+		b := NewBuilder(start, geo.Destination(origin, rng.Float64()*360, rng.Float64()*5000))
+		replay(t, rng, b)
+		it := b.Build()
 		for k := 0; k < 20 && it.total > 1; k++ {
 			e := 1 + time.Duration(rng.Int63n(int64(it.total-1)))
 			if hint := rng.Intn(len(it.rows)+2) - 1; it.rowFrom(hint, e) != it.rowAt(e) {
@@ -338,13 +389,6 @@ func TestItineraryExtentHoldsPositions(t *testing.T) {
 			sp := it.Extent(from, to, rng.Intn(len(it.rows)+2)-1)
 			if fresh := it.Extent(from, to, 0); fresh != sp || sp.Row < 0 || sp.Row >= max(len(it.rows), 1) {
 				t.Fatalf("trial %d: Extent depends on its hint, or returned row %d of %d", trial, sp.Row, len(it.rows))
-			}
-			if !sp.OK {
-				if !hasGlide {
-					t.Fatalf("trial %d: Extent failed on an itinerary without a glide", trial)
-				}
-				failed++
-				continue
 			}
 			// Later windows that close by Until share the span's box.
 			if sp.Until.After(to) {
@@ -365,14 +409,12 @@ func TestItineraryExtentHoldsPositions(t *testing.T) {
 			}
 		}
 	}
-	if failed == 0 {
-		t.Error("no window held a glide")
-	}
 }
 
 func TestSpeedKmhAt(t *testing.T) {
-	b := geo.Destination(origin, 90, 10000)
-	it := NewItinerary(start, Move{Along: geo.Path{origin, b}, SpeedKmh: 20})
+	b := NewBuilder(start, origin)
+	b.MoveTo(geo.Destination(origin, 90, 10000), 20)
+	it := b.Build()
 	got := SpeedKmhAt(it, start.Add(10*time.Minute), 10*time.Second)
 	if math.Abs(got-20) > 0.5 {
 		t.Errorf("speed = %.2f, want 20", got)
@@ -387,12 +429,30 @@ func TestSpeedKmhAt(t *testing.T) {
 	}
 }
 
+// randomWaypoint builds a wanderer inside a box: pick a point, go there
+// at a speed drawn from [minKmh, maxKmh], pause up to maxPause, repeat
+// until the horizon is covered.
+func randomWaypoint(rng *rand.Rand, box geo.BBox, minKmh, maxKmh float64, maxPause, horizon time.Duration) *Itinerary {
+	randPoint := func() geo.LatLon {
+		return geo.LatLon{
+			Lat: box.MinLat + rng.Float64()*(box.MaxLat-box.MinLat),
+			Lon: box.MinLon + rng.Float64()*(box.MaxLon-box.MinLon),
+		}
+	}
+	b := NewBuilder(start, randPoint())
+	for b.Elapsed() < horizon {
+		b.MoveTo(randPoint(), minKmh+rng.Float64()*(maxKmh-minKmh))
+		b.Stay(time.Duration(rng.Int63n(int64(maxPause))))
+	}
+	return b.Build()
+}
+
 func TestItineraryMonotoneContinuous(t *testing.T) {
 	// Positions along an itinerary should never jump more than the top
 	// speed allows.
 	rng := rand.New(rand.NewSource(3))
 	box := geo.NewBBox(origin).Buffer(3000)
-	it := RandomWaypoint(rng, box, 2, 30, 0, 10*time.Minute, start, 6*time.Hour)
+	it := randomWaypoint(rng, box, 2, 30, 10*time.Minute, 6*time.Hour)
 	prev := it.Pos(start)
 	for dt := time.Duration(0); dt < 6*time.Hour; dt += 10 * time.Second {
 		cur := it.Pos(start.Add(dt))
@@ -403,31 +463,6 @@ func TestItineraryMonotoneContinuous(t *testing.T) {
 		}
 		prev = cur
 	}
-}
-
-func TestRandomWaypointStaysInBoxish(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	box := geo.NewBBox(origin).Buffer(2000)
-	it := RandomWaypoint(rng, box, 3, 6, time.Minute, 5*time.Minute, start, 4*time.Hour)
-	loose := box.Buffer(100)
-	for dt := time.Duration(0); dt < 4*time.Hour; dt += time.Minute {
-		p := it.Pos(start.Add(dt))
-		if !loose.Contains(p) {
-			t.Fatalf("wanderer escaped the box at %v: %v", dt, p)
-		}
-	}
-	if it.End().Before(start.Add(4 * time.Hour)) {
-		t.Error("itinerary should cover the horizon")
-	}
-}
-
-func TestRandomWaypointPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for bad speed range")
-		}
-	}()
-	RandomWaypoint(rand.New(rand.NewSource(1)), geo.BBox{}, 0, 0, 0, 0, start, time.Hour)
 }
 
 func TestDailyRoutineCommutes(t *testing.T) {
@@ -506,20 +541,20 @@ func TestDailyRoutineDeterministic(t *testing.T) {
 
 func TestTravelLegModes(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	short := travelLeg(rng, origin, geo.Destination(origin, 0, 300))
-	if ClassifySpeed(short.SpeedKmh) != ClassPedestrian {
-		t.Errorf("300 m leg speed %.1f should be pedestrian", short.SpeedKmh)
+	short := travelSpeed(rng, origin, geo.Destination(origin, 0, 300))
+	if ClassifySpeed(short) != ClassPedestrian {
+		t.Errorf("300 m leg speed %.1f should be pedestrian", short)
 	}
-	long := travelLeg(rng, origin, geo.Destination(origin, 0, 5000))
-	if ClassifySpeed(long.SpeedKmh) != ClassTransit {
-		t.Errorf("5 km leg speed %.1f should be transit", long.SpeedKmh)
+	long := travelSpeed(rng, origin, geo.Destination(origin, 0, 5000))
+	if ClassifySpeed(long) != ClassTransit {
+		t.Errorf("5 km leg speed %.1f should be transit", long)
 	}
 }
 
 func BenchmarkItineraryPos(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	box := geo.NewBBox(origin).Buffer(5000)
-	it := RandomWaypoint(rng, box, 3, 30, 0, 5*time.Minute, start, 24*time.Hour)
+	it := randomWaypoint(rng, box, 3, 30, 5*time.Minute, 24*time.Hour)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		it.Pos(start.Add(time.Duration(i%86400) * time.Second))

@@ -306,7 +306,7 @@ func (j CountryJob) build() *countryWorld {
 		jogKm:     spec.JogKm * cfg.Scale / float64(days),
 		transitKm: spec.TransitKm * cfg.Scale / float64(days),
 	}
-	itin, coTravel := buildCountryItinerary(rng, start, days, homes, centers, venues, quota)
+	itin, rides := buildCountryItinerary(rng, start, days, homes, centers, venues, quota)
 
 	// Reporting fleet: per city, homes density-weighted (30% biased to
 	// within 500 m of a venue — activity centers concentrate phones),
@@ -390,12 +390,11 @@ func (j CountryJob) build() *countryWorld {
 	// Co-travelers: fellow passengers sharing each of the participant's
 	// transit rides — the paper's trains and buses are full of phones
 	// that ride within Bluetooth range for the whole leg.
-	for si, spec2 := range coTravel {
+	for si, it := range rides {
 		n := poisson(rng, 6*cfg.FleetScale)
 		for k := 0; k < n; k++ {
-			it := mobility.NewItinerary(spec2.start, spec2.segments...)
-			d := device.New(fmt.Sprintf("%s-ride%d-pax%d", spec.Code, si, k), pickVendor(), it.Pos(spec2.start), it)
-			d.ActiveFrom = spec2.start.Add(-time.Minute)
+			d := device.New(fmt.Sprintf("%s-ride%d-pax%d", spec.Code, si, k), pickVendor(), it.Pos(it.Start), it)
+			d.ActiveFrom = it.Start.Add(-time.Minute)
 			d.ActiveTo = it.End().Add(time.Minute)
 			if d.Vendor == trace.VendorSamsung {
 				d.OptedIn = rng.Float64() < samsungActiveOptIn
@@ -492,73 +491,36 @@ func (w *countryWorld) run() CountryResult {
 // away from the venue.
 func dayWanderer(rng *rand.Rand, anchor geo.LatLon, radiusM float64, start time.Time, days int) *mobility.Itinerary {
 	home := geo.Destination(anchor, rng.Float64()*360, 700+rng.Float64()*800)
-	var segments []mobility.Segment
-	clock := time.Duration(0)
-	cur := home
-	stayUntil := func(until time.Duration) {
-		if until > clock {
-			segments = append(segments, mobility.Stay{At: cur, For: until - clock})
-			clock = until
-		}
-	}
+	b := mobility.NewBuilder(start, home)
 	for d := 0; d < days; d++ {
 		dayStart := time.Duration(d) * 24 * time.Hour
-		wake := dayStart + 8*time.Hour + time.Duration(rng.Int63n(int64(90*time.Minute)))
-		stayUntil(wake)
+		b.StayUntil(dayStart + 8*time.Hour + time.Duration(rng.Int63n(int64(90*time.Minute))))
 		end := dayStart + 22*time.Hour + time.Duration(rng.Int63n(int64(time.Hour)))
-		for clock < end {
+		for b.Elapsed() < end {
 			dest := geo.Destination(anchor, rng.Float64()*360, rng.Float64()*radiusM)
-			mv := mobility.Move{Along: geo.Path{cur, dest}, SpeedKmh: 2 + rng.Float64()*3}
-			if d := mv.Duration(); d > 0 {
-				segments = append(segments, mv)
-				clock += d
-				cur = dest
-			}
-			pause := time.Minute + time.Duration(rng.Int63n(int64(8*time.Minute)))
-			segments = append(segments, mobility.Stay{At: cur, For: pause})
-			clock += pause
+			b.MoveTo(dest, 2+rng.Float64()*3)
+			b.Stay(time.Minute + time.Duration(rng.Int63n(int64(8*time.Minute))))
 		}
-		mv := mobility.Move{Along: geo.Path{cur, home}, SpeedKmh: 4}
-		if d := mv.Duration(); d > 0 {
-			segments = append(segments, mv)
-			clock += d
-			cur = home
-		}
-		stayUntil(dayStart + 24*time.Hour)
+		b.MoveTo(home, 4)
+		b.StayUntil(dayStart + 24*time.Hour)
 	}
-	return mobility.NewItinerary(start, segments...)
+	return b.Build()
 }
 
 // venueDweller builds a staff/patron phone: at its venue spot during
 // opening hours (~09:00-22:00), home overnight.
 func venueDweller(rng *rand.Rand, spot geo.LatLon, start time.Time, days int) *mobility.Itinerary {
 	home := geo.Destination(spot, rng.Float64()*360, 600+rng.Float64()*900)
-	var segments []mobility.Segment
-	clock := time.Duration(0)
-	cur := home
-	stayUntil := func(until time.Duration) {
-		if until > clock {
-			segments = append(segments, mobility.Stay{At: cur, For: until - clock})
-			clock = until
-		}
-	}
+	b := mobility.NewBuilder(start, home)
 	for d := 0; d < days; d++ {
 		dayStart := time.Duration(d) * 24 * time.Hour
-		open := dayStart + 9*time.Hour + time.Duration(rng.Int63n(int64(time.Hour)))
-		stayUntil(open)
-		mv := mobility.Move{Along: geo.Path{cur, spot}, SpeedKmh: 18}
-		segments = append(segments, mv)
-		clock += mv.Duration()
-		cur = spot
-		close := dayStart + 21*time.Hour + time.Duration(rng.Int63n(int64(90*time.Minute)))
-		stayUntil(close)
-		back := mobility.Move{Along: geo.Path{cur, home}, SpeedKmh: 18}
-		segments = append(segments, back)
-		clock += back.Duration()
-		cur = home
-		stayUntil(dayStart + 24*time.Hour)
+		b.StayUntil(dayStart + 9*time.Hour + time.Duration(rng.Int63n(int64(time.Hour))))
+		b.MoveTo(spot, 18)
+		b.StayUntil(dayStart + 21*time.Hour + time.Duration(rng.Int63n(int64(90*time.Minute))))
+		b.MoveTo(home, 18)
+		b.StayUntil(dayStart + 24*time.Hour)
 	}
-	return mobility.NewItinerary(start, segments...)
+	return b.Build()
 }
 
 func maybeWork(rng *rand.Rand, pop *population.Map) geo.LatLon {
@@ -573,55 +535,20 @@ type dayQuota struct {
 	walkKm, jogKm, transitKm float64
 }
 
-// coTravelerSpec describes one transit ride (sub-legs plus station stops)
-// that fellow-passenger devices replay alongside the participant.
-type coTravelerSpec struct {
-	start    time.Time
-	segments []mobility.Segment
-}
-
 // buildCountryItinerary plans the participant's days: overnight at the
 // city home, a morning jog, a transit trip to a venue (possibly in another
 // city) with walking there, and a transit return — consuming the Table 1
 // distance quotas. Evening outings on some days extend coverage into the
-// paper's evening/night periods. Every transit ride is returned as a
-// co-traveler spec so the fleet can seat passengers on it.
-func buildCountryItinerary(rng *rand.Rand, start time.Time, days int, homes, centers []geo.LatLon, venues [][]geo.LatLon, q dayQuota) (*mobility.Itinerary, []coTravelerSpec) {
+// paper's evening/night periods. Every transit ride is also returned on
+// its own, as the itinerary its fellow passengers share.
+func buildCountryItinerary(rng *rand.Rand, start time.Time, days int, homes, centers []geo.LatLon, venues [][]geo.LatLon, q dayQuota) (*mobility.Itinerary, []*mobility.Itinerary) {
 	nCities := len(homes)
-	var segments []mobility.Segment
-	var specs []coTravelerSpec
-	clock := time.Duration(0) // offset from start
-	cur := homes[0]
-
-	stayUntil := func(until time.Duration) {
-		if until > clock {
-			segments = append(segments, mobility.Stay{At: cur, For: until - clock})
-			clock = until
-		}
-	}
-	move := func(dest geo.LatLon, speedKmh float64) {
-		if dest == cur || speedKmh <= 0 {
-			return
-		}
-		mv := mobility.Move{Along: geo.Path{cur, dest}, SpeedKmh: speedKmh}
-		segments = append(segments, mv)
-		clock += mv.Duration()
-		cur = dest
-	}
-	// ride is a transit leg with station stops every couple of km; the
-	// stops matter because a report of a moving tag is mislocated by the
-	// crawler's timestamp quantization, while a report at a stop is not.
+	b := mobility.NewBuilder(start, homes[0])
+	var rides []*mobility.Itinerary
 	ride := func(path geo.Path, speedKmh float64) {
-		segs := transitSegments(rng, path, speedKmh)
-		if len(segs) == 0 {
-			return
+		if r := transit(rng, b, start, path, speedKmh); r != nil {
+			rides = append(rides, r)
 		}
-		specs = append(specs, coTravelerSpec{start: start.Add(clock), segments: segs})
-		for _, s := range segs {
-			segments = append(segments, s)
-			clock += s.Duration()
-		}
-		cur = segs[len(segs)-1].End()
 	}
 	// wander walks a zig-zag of the given total length around an anchor.
 	wander := func(anchor geo.LatLon, totalM float64, speedKmh float64) {
@@ -631,16 +558,13 @@ func buildCountryItinerary(rng *rand.Rand, start time.Time, days int, homes, cen
 			if leg > remaining {
 				leg = remaining
 			}
+			cur := b.Pos()
 			dest := geo.Destination(anchor, rng.Float64()*360, 30+rng.Float64()*400)
-			mv := mobility.Move{Along: geo.Path{cur, dest}, SpeedKmh: speedKmh}
-			if l := mv.Along.Length(); l > 1 {
-				scaled := geo.Lerp(cur, dest, leg/l)
-				mv = mobility.Move{Along: geo.Path{cur, scaled}, SpeedKmh: speedKmh}
+			if l := geo.Distance(cur, dest); l > 1 {
+				dest = geo.Lerp(cur, dest, leg/l)
 			}
-			segments = append(segments, mv)
-			clock += mv.Duration()
-			cur = mv.End()
-			remaining -= mv.Along.Length()
+			b.MoveTo(dest, speedKmh)
+			remaining -= geo.Distance(cur, dest)
 		}
 	}
 
@@ -648,26 +572,24 @@ func buildCountryItinerary(rng *rand.Rand, start time.Time, days int, homes, cen
 		dayStart := time.Duration(d) * 24 * time.Hour
 		cityIdx := d * nCities / days // rotate through cities
 		home := homes[cityIdx]
-		if cur != home {
+		if b.Pos() != home {
 			// Overnight relocation to the next city's home (counts as
 			// transit).
-			ride(geo.Path{cur, home}, 50+rng.Float64()*30)
+			ride(geo.Path{b.Pos(), home}, 50+rng.Float64()*30)
 		}
 		// Morning jog: out-and-back loop near home.
-		jogStart := dayStart + 7*time.Hour + time.Duration(rng.Int63n(int64(time.Hour)))
-		stayUntil(jogStart)
+		b.StayUntil(dayStart + 7*time.Hour + time.Duration(rng.Int63n(int64(time.Hour))))
 		if q.jogKm > 0.01 {
 			half := geo.Destination(home, rng.Float64()*360, q.jogKm*1000/2)
 			speed := 8 + rng.Float64()*3 // jogging: 8-11 km/h
-			move(half, speed)
-			move(home, speed)
+			b.MoveTo(half, speed)
+			b.MoveTo(home, speed)
 		}
 		// Midday trip: transit to a venue in some city (a highway detour
 		// absorbs the day's transit quota — long rides cross empty
 		// country, but the destination is always a real activity
 		// center), walk around it, then ride straight home.
-		tripStart := dayStart + 10*time.Hour + time.Duration(rng.Int63n(int64(2*time.Hour)))
-		stayUntil(tripStart)
+		b.StayUntil(dayStart + 10*time.Hour + time.Duration(rng.Int63n(int64(2*time.Hour))))
 		if q.transitKm > 0.01 {
 			destCity := cityIdx
 			if nCities > 1 && rng.Float64() < 0.6 {
@@ -685,58 +607,61 @@ func buildCountryItinerary(rng *rand.Rand, start time.Time, days int, homes, cen
 			if q.walkKm > 0.01 {
 				wander(venue, q.walkKm*1000, 3.5+rng.Float64()*2)
 			}
-			move(venue, 4+rng.Float64()*1.5)
-			stayUntil(clock + 45*time.Minute + time.Duration(rng.Int63n(int64(75*time.Minute))))
-			ride(geo.Path{cur, home}, speed)
+			b.MoveTo(venue, 4+rng.Float64()*1.5)
+			b.Stay(45*time.Minute + time.Duration(rng.Int63n(int64(75*time.Minute))))
+			ride(geo.Path{b.Pos(), home}, speed)
 		} else if q.walkKm > 0.01 {
 			wander(home, q.walkKm*1000, 3.5+rng.Float64()*2)
-			move(home, 4)
+			b.MoveTo(home, 4)
 		}
 		// Evening outing on ~70% of days, reaching the evening/night
 		// periods. A nearby venue is preferred (dinner out); otherwise a
 		// spot within walking distance, its leg drawn from the walk
 		// quota so Table 1's walk column stays faithful.
 		if rng.Float64() < 0.7 {
-			out := dayStart + 19*time.Hour + time.Duration(rng.Int63n(int64(3*time.Hour)))
-			stayUntil(out)
+			b.StayUntil(dayStart + 19*time.Hour + time.Duration(rng.Int63n(int64(3*time.Hour))))
 			dest := geo.Destination(home, rng.Float64()*360, clampF(q.walkKm*1000*0.15, 80, 600))
 			if v, ok := nearestVenue(venues[cityIdx], home, 1200); ok && rng.Float64() < 0.6 {
 				dest = v
 			}
-			move(dest, 4+rng.Float64()*1.5)
-			stayUntil(clock + 40*time.Minute + time.Duration(rng.Int63n(int64(80*time.Minute))))
-			move(home, 4+rng.Float64()*1.5)
+			b.MoveTo(dest, 4+rng.Float64()*1.5)
+			b.Stay(40*time.Minute + time.Duration(rng.Int63n(int64(80*time.Minute))))
+			b.MoveTo(home, 4+rng.Float64()*1.5)
 		}
-		stayUntil(dayStart + 24*time.Hour)
+		b.StayUntil(dayStart + 24*time.Hour)
 	}
-	return mobility.NewItinerary(start, segments...), specs
+	return b.Build(), rides
 }
 
-// transitSegments subdivides a ride into ~2 km sub-legs separated by
-// 45-90 s station stops.
-func transitSegments(rng *rand.Rand, path geo.Path, speedKmh float64) []mobility.Segment {
+// transit moves b along a ride's path in ~2 km sub-legs separated by
+// 45-90 s station stops; the stops matter because a report of a moving
+// tag is mislocated by the crawler's timestamp quantization, while a
+// report at a stop is not. It returns the ride alone, the itinerary its
+// fellow passengers follow, or nil when the path is too short to ride.
+// b's itinerary starts at start.
+func transit(rng *rand.Rand, b *mobility.Builder, start time.Time, path geo.Path, speedKmh float64) *mobility.Itinerary {
 	total := path.Length()
 	if total < 1 || speedKmh <= 0 {
 		return nil
 	}
-	var out []mobility.Segment
-	pos := 0.0
-	prev := path.At(0)
-	for pos < total {
+	pax := mobility.NewBuilder(start.Add(b.Elapsed()), path.At(0))
+	for pos := 0.0; pos < total; {
 		leg := 1500 + rng.Float64()*1500
 		next := pos + leg
 		if next > total-500 {
 			next = total
 		}
 		stopAt := path.At(next)
-		out = append(out, mobility.Move{Along: geo.Path{prev, stopAt}, SpeedKmh: speedKmh})
+		b.MoveTo(stopAt, speedKmh)
+		pax.MoveTo(stopAt, speedKmh)
 		if next < total {
-			out = append(out, mobility.Stay{At: stopAt, For: 45*time.Second + time.Duration(rng.Int63n(int64(45*time.Second)))})
+			stop := 45*time.Second + time.Duration(rng.Int63n(int64(45*time.Second)))
+			b.Stay(stop)
+			pax.Stay(stop)
 		}
-		prev = stopAt
 		pos = next
 	}
-	return out
+	return pax.Build()
 }
 
 // detourPath builds a transit route from home to venue whose ground length

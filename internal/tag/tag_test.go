@@ -177,7 +177,9 @@ func TestCountBeacons(t *testing.T) {
 
 func TestPosFollowsMobility(t *testing.T) {
 	dest := geo.Destination(origin, 90, 1000)
-	it := mobility.NewItinerary(epoch, mobility.Move{Along: geo.Path{origin, dest}, SpeedKmh: 6})
+	b := mobility.NewBuilder(epoch, origin)
+	b.MoveTo(dest, 6)
+	it := b.Build()
 	tg := New("t", AirTagProfile(), it, 4, epoch)
 	if tg.Pos(epoch) != origin {
 		t.Error("tag should start at origin")

@@ -18,7 +18,9 @@ var (
 
 func walkModel() mobility.Model {
 	dest := geo.Destination(origin, 90, 2000)
-	return mobility.NewItinerary(t0, mobility.Move{Along: geo.Path{origin, dest}, SpeedKmh: 4})
+	b := mobility.NewBuilder(t0, origin)
+	b.MoveTo(dest, 4)
+	return b.Build()
 }
 
 // collect taps vp and returns the ground truth its Tap receives, as the
@@ -107,7 +109,9 @@ func TestSpeedEstimates(t *testing.T) {
 	cfg.OnlineProb = 1
 	cfg.GPSSigmaM = 0
 	dest := geo.Destination(origin, 90, 5000)
-	m := mobility.NewItinerary(t0, mobility.Move{Along: geo.Path{origin, dest}, SpeedKmh: 10})
+	b := mobility.NewBuilder(t0, origin)
+	b.MoveTo(dest, 10)
+	m := b.Build()
 	vp := New(cfg, m, e.RNG("vp"))
 	uploaded := collect(vp)
 	vp.Attach(e, t0)
