@@ -13,7 +13,7 @@ package mobility
 import (
 	"fmt"
 	"math"
-	"slices"
+	"sync"
 	"time"
 
 	"tagsim/internal/geo"
@@ -102,12 +102,20 @@ type row struct {
 // leg starts where the builder stands: the origin, or the end of the
 // last row.
 type Builder struct {
-	it Itinerary
+	it  Itinerary
+	buf *[]row // the scratch table it.rows grows in, until Build
 }
+
+// scratch holds the tables builders grow their rows in, so a table
+// grows in a reused buffer and each itinerary allocates its own once,
+// exactly sized, at Build. A long itinerary's table otherwise grows by
+// a quarter at a time and allocates several times its final size.
+var scratch = sync.Pool{New: func() any { return new([]row) }}
 
 // NewBuilder starts an itinerary at start, standing at origin.
 func NewBuilder(start time.Time, origin geo.LatLon) *Builder {
-	return &Builder{it: Itinerary{Start: start, origin: origin}}
+	buf := scratch.Get().(*[]row)
+	return &Builder{it: Itinerary{Start: start, origin: origin, rows: (*buf)[:0]}, buf: buf}
 }
 
 // Pos returns where the builder stands.
@@ -149,7 +157,13 @@ func (b *Builder) MoveTo(dest geo.LatLon, kmh float64) time.Duration {
 // millions of rows alive. The builder is done after Build.
 func (b *Builder) Build() *Itinerary {
 	it := b.it
-	it.rows = slices.Clone(it.rows)
+	it.rows = make([]row, len(b.it.rows))
+	copy(it.rows, b.it.rows)
+	if b.buf != nil {
+		*b.buf = b.it.rows[:0]
+		scratch.Put(b.buf)
+		b.buf, b.it.rows = nil, nil
+	}
 	return &it
 }
 
