@@ -60,8 +60,8 @@ type Fleet struct {
 
 // Hour-slice constants.
 //
-// Positions during a slice lie on the device's segments active then: a
-// Stay's point, or a point on a Move leg's great circle. Along a leg
+// Positions during a slice lie on the device's itinerary rows active
+// then: a stay's point, or a point on a leg's great circle. Along a leg
 // that does not pass a pole the longitude is monotone (Clairaut:
 // cos φ·sin α is constant, so sin α keeps its sign), so the leg's
 // longitudes lie between its endpoints'. Its latitude is not: its

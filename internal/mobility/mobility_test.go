@@ -308,28 +308,18 @@ func replay(t *testing.T, rng *rand.Rand, b *Builder) (segs []segment, noops int
 // TestItineraryMatchesSegmentOracle pins the table Builder fills to the
 // segment slice it replaced, bit for bit: Pos before the start, at,
 // just before and just after every row boundary, inside every row and
-// after the end, and TotalDistanceM and DistanceByClass.
+// after the end, and TotalDistanceM and DistanceByClass. Each itinerary
+// is checked again after the next one is built, as builders grow their
+// rows in shared scratch.
 func TestItineraryMatchesSegmentOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	same := func(a, b geo.LatLon) bool {
 		return math.Float64bits(a.Lat) == math.Float64bits(b.Lat) && math.Float64bits(a.Lon) == math.Float64bits(b.Lon)
 	}
-	chained, first, noops := 0, 0, 0
-	for trial := 0; trial < 400; trial++ {
-		b := NewBuilder(start, geo.Destination(origin, rng.Float64()*360, rng.Float64()*5000))
-		segs, n := replay(t, rng, b)
-		noops += n
-		it, want := b.Build(), newSegItinerary(start, segs...)
+	check := func(trial int, it *Itinerary, want *segItinerary) {
+		t.Helper()
 		if len(it.rows) != len(want.segments) || it.total != want.total {
 			t.Fatalf("trial %d: %d rows over %v, oracle %d segments over %v", trial, len(it.rows), it.total, len(want.segments), want.total)
-		}
-		for i, r := range it.rows {
-			switch {
-			case r.speed > 0 && i == 0:
-				first++
-			case r.speed > 0:
-				chained++
-			}
 		}
 		at := []time.Time{start.Add(-time.Hour), start.Add(-1), start, start.Add(1), it.End(), it.End().Add(time.Hour)}
 		for k, off := range want.offsets {
@@ -359,6 +349,28 @@ func TestItineraryMatchesSegmentOracle(t *testing.T) {
 		for c, m := range w {
 			if math.Float64bits(got[c]) != math.Float64bits(m) {
 				t.Fatalf("trial %d: DistanceByClass[%v] = %v, oracle %v", trial, c, got[c], m)
+			}
+		}
+	}
+	chained, first, noops := 0, 0, 0
+	var prev *Itinerary
+	var prevWant *segItinerary
+	for trial := 0; trial < 400; trial++ {
+		b := NewBuilder(start, geo.Destination(origin, rng.Float64()*360, rng.Float64()*5000))
+		segs, n := replay(t, rng, b)
+		noops += n
+		it, want := b.Build(), newSegItinerary(start, segs...)
+		check(trial, it, want)
+		if prev != nil {
+			check(trial-1, prev, prevWant)
+		}
+		prev, prevWant = it, want
+		for i, r := range it.rows {
+			switch {
+			case r.speed > 0 && i == 0:
+				first++
+			case r.speed > 0:
+				chained++
 			}
 		}
 	}

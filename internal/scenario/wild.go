@@ -546,7 +546,7 @@ func buildCountryItinerary(rng *rand.Rand, start time.Time, days int, homes, cen
 	b := mobility.NewBuilder(start, homes[0])
 	var rides []*mobility.Itinerary
 	ride := func(path geo.Path, speedKmh float64) {
-		if r := transit(rng, b, start, path, speedKmh); r != nil {
+		if r := transit(rng, b, start.Add(b.Elapsed()), path, speedKmh); r != nil {
 			rides = append(rides, r)
 		}
 	}
@@ -636,15 +636,15 @@ func buildCountryItinerary(rng *rand.Rand, start time.Time, days int, homes, cen
 // transit moves b along a ride's path in ~2 km sub-legs separated by
 // 45-90 s station stops; the stops matter because a report of a moving
 // tag is mislocated by the crawler's timestamp quantization, while a
-// report at a stop is not. It returns the ride alone, the itinerary its
-// fellow passengers follow, or nil when the path is too short to ride.
-// b's itinerary starts at start.
-func transit(rng *rand.Rand, b *mobility.Builder, start time.Time, path geo.Path, speedKmh float64) *mobility.Itinerary {
+// report at a stop is not. It returns the ride alone, from the path's
+// start at begin (b's instant when the ride sets off), as the itinerary
+// its fellow passengers share; nil when the path is too short to ride.
+func transit(rng *rand.Rand, b *mobility.Builder, begin time.Time, path geo.Path, speedKmh float64) *mobility.Itinerary {
 	total := path.Length()
 	if total < 1 || speedKmh <= 0 {
 		return nil
 	}
-	pax := mobility.NewBuilder(start.Add(b.Elapsed()), path.At(0))
+	pax := mobility.NewBuilder(begin, path.At(0))
 	for pos := 0.0; pos < total; {
 		leg := 1500 + rng.Float64()*1500
 		next := pos + leg
