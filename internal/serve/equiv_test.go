@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"regexp"
 	"strings"
 	"sync"
@@ -164,33 +165,53 @@ func TestReadPathEquivalence(t *testing.T) {
 	}
 }
 
-// TestPreparsedQueryParams pins the single-scan parser against the
-// url.Values behavior the handlers used to rely on: escaped keys and
-// values, first-occurrence-wins, skipped malformed pairs, and missing
-// values.
+// parseQueryCases pin the single-scan parser against the url.Values
+// behavior the handlers used to rely on: escaped keys and values,
+// first-occurrence-wins, skipped malformed pairs, and missing values.
+var parseQueryCases = []struct {
+	raw  string
+	want queryParams
+}{
+	{"tag=airtag-1", queryParams{tag: "airtag-1"}},
+	{"tag=a%20b&vendor=Apple", queryParams{tag: "a b", vendor: "Apple"}},
+	{"tag=a+b", queryParams{tag: "a b"}},
+	{"t%61g=x", queryParams{tag: "x"}},
+	{"tag=first&tag=second", queryParams{tag: "first"}},
+	{"limit=3&now=2022-03-07T12:00:00Z&tag=x&vendor=Samsung",
+		queryParams{tag: "x", vendor: "Samsung", now: "2022-03-07T12:00:00Z", limit: "3"}},
+	{"tag", queryParams{tag: ""}},
+	{"tag=", queryParams{tag: ""}},
+	{"tag=%zz&vendor=Apple", queryParams{vendor: "Apple"}}, // bad escape: pair skipped
+	{"&&tag=x&", queryParams{tag: "x"}},
+	{"other=1&tag=x", queryParams{tag: "x"}},
+	{"tag=a;b", queryParams{}}, // semicolon: pair skipped
+	{"tag=a;b&tag=c&x;=1&vendor=Apple", queryParams{tag: "c", vendor: "Apple"}},
+}
+
+// TestPreparsedQueryParams runs the pinned parseQuery cases.
 func TestPreparsedQueryParams(t *testing.T) {
-	cases := []struct {
-		raw  string
-		want queryParams
-	}{
-		{"tag=airtag-1", queryParams{tag: "airtag-1"}},
-		{"tag=a%20b&vendor=Apple", queryParams{tag: "a b", vendor: "Apple"}},
-		{"tag=a+b", queryParams{tag: "a b"}},
-		{"t%61g=x", queryParams{tag: "x"}},
-		{"tag=first&tag=second", queryParams{tag: "first"}},
-		{"limit=3&now=2022-03-07T12:00:00Z&tag=x&vendor=Samsung",
-			queryParams{tag: "x", vendor: "Samsung", now: "2022-03-07T12:00:00Z", limit: "3"}},
-		{"tag", queryParams{tag: ""}},
-		{"tag=", queryParams{tag: ""}},
-		{"tag=%zz&vendor=Apple", queryParams{vendor: "Apple"}}, // bad escape: pair skipped
-		{"&&tag=x&", queryParams{tag: "x"}},
-		{"other=1&tag=x", queryParams{tag: "x"}},
-	}
-	for _, c := range cases {
+	for _, c := range parseQueryCases {
 		if got := parseQuery(c.raw); got != c.want {
 			t.Errorf("parseQuery(%q) = %+v, want %+v", c.raw, got, c.want)
 		}
 	}
+}
+
+// FuzzParseQuery holds parseQuery to url.ParseQuery followed by Get for
+// each of the four parameters the handlers read.
+func FuzzParseQuery(f *testing.F) {
+	for _, c := range parseQueryCases {
+		f.Add(c.raw)
+	}
+	f.Add("tag=%3B&vendor=a%26b&now=%&limit=1;")
+	f.Add("vendor=Apple=x&now&limit=%2B+&t%ZZg=1")
+	f.Fuzz(func(t *testing.T, raw string) {
+		vals, _ := url.ParseQuery(raw)
+		want := queryParams{tag: vals.Get("tag"), vendor: vals.Get("vendor"), now: vals.Get("now"), limit: vals.Get("limit")}
+		if got := parseQuery(raw); got != want {
+			t.Fatalf("parseQuery(%q) = %+v, url.ParseQuery gives %+v", raw, got, want)
+		}
+	})
 }
 
 // TestPooledResponsesAreIsolated: pooled encode buffers must never leak

@@ -16,13 +16,21 @@
 // from the bounded hot-tag cache whenever the backing shards' epochs
 // haven't moved (see cloud.HotCache; cloud.SetHotCache is the escape
 // hatch), query parameters are parsed in one pass over the raw query
-// string instead of materializing a url.Values map per request, JSON
-// responses encode into pooled buffers, and capped history queries copy
-// only the newest N reports out of the rings.
+// string instead of materializing a url.Values map per request, and
+// capped history queries copy only the newest N reports out of the
+// rings.
+//
+// The four hot responses (last-known, history, track, ingest) are
+// appended into pooled []byte buffers by hand-written encoders (see
+// encode.go) that write the same bytes encoding/json would, without its
+// reflection; /v1/track encodes straight from the merged reports. The
+// cold responses (/v1/stats, /debug/traces, the error envelope) keep
+// encoding/json. A value that cannot be encoded (a NaN, a time outside
+// RFC 3339's years) answers 500 with the error envelope, never an empty
+// or truncated 200.
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -30,7 +38,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"tagsim/internal/cloud"
@@ -162,29 +169,8 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// bufPool recycles the response-encode buffers; any buffer that grew
-// past maxPooledBuf (an unbounded-history response) is dropped rather
-// than pinned in the pool.
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-const maxPooledBuf = 1 << 18
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	buf := bufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	_ = json.NewEncoder(buf).Encode(v)
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
-	if buf.Cap() <= maxPooledBuf {
-		bufPool.Put(buf)
-	}
-}
-
 func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
+	writeReflect(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
 // queryParams are the four parameters the read endpoints accept,
@@ -195,9 +181,9 @@ type queryParams struct {
 }
 
 // parseQuery scans RawQuery once without building a url.Values map.
-// Pairs that fail to unescape are skipped, exactly like url.ParseQuery
-// (which collects the error the handlers never looked at); repeated
-// keys keep the first value, like url.Values.Get.
+// Pairs that hold a ';' or fail to unescape are skipped, exactly like
+// url.ParseQuery (which collects the error the handlers never looked
+// at); repeated keys keep the first value, like url.Values.Get.
 func parseQuery(raw string) (p queryParams) {
 	var seen [4]bool
 	for len(raw) > 0 {
@@ -206,6 +192,9 @@ func parseQuery(raw string) (p queryParams) {
 			pair, raw = raw[:i], raw[i+1:]
 		} else {
 			raw = ""
+		}
+		if strings.IndexByte(pair, ';') >= 0 {
+			continue
 		}
 		key, val := pair, ""
 		if i := strings.IndexByte(pair, '='); i >= 0 {
@@ -344,13 +333,13 @@ func (s *Server) handleLastKnown(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusNotFound, "unknown tag %q", tag)
 			return
 		}
-		writeJSON(w, http.StatusOK, lastKnownAt(vendorName, tag, pos, at, found, now))
+		writeJSON(w, http.StatusOK, lastKnownAt(vendorName, tag, pos, at, found, now), appendLastKnown)
 		return
 	}
 	if !s.knownTag(w, tag) {
 		return
 	}
-	writeJSON(w, http.StatusOK, lastKnown(svc, vendorName, tag, now))
+	writeJSON(w, http.StatusOK, lastKnown(svc, vendorName, tag, now), appendLastKnown)
 }
 
 func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
@@ -391,7 +380,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		}
 		reports = svc.RecentHistoryTraced(tag, limit, tr)
 	}
-	writeJSON(w, http.StatusOK, HistoryResponse{TagID: tag, Vendor: label, Reports: reports})
+	writeJSON(w, http.StatusOK, HistoryResponse{TagID: tag, Vendor: label, Reports: reports}, appendHistory)
 }
 
 func (s *Server) handleTrack(w http.ResponseWriter, r *http.Request) {
@@ -410,16 +399,15 @@ func (s *Server) handleTrack(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "unknown tag %q", tag)
 		return
 	}
-	track := make([]TrackPoint, 0, len(merged))
-	for _, rep := range merged {
-		track = append(track, TrackPoint{T: rep.T, Pos: rep.Pos, Vendor: rep.Vendor.String()})
+	if merged == nil {
+		merged = []trace.Report{} // a tag with no reports answers "track":[]
 	}
 	pos, at, found, _ := s.cache.LastSeenTraced(tag, tr)
-	writeJSON(w, http.StatusOK, TrackResponse{
+	writeJSON(w, http.StatusOK, trackReply{
 		TagID: tag,
 		Last:  lastKnownAt(trace.VendorCombined.String(), tag, pos, at, found, now),
-		Track: track,
-	})
+		Track: merged,
+	}, appendTrack)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -439,7 +427,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeReflect(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -475,5 +463,5 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		tr.SetAttrs(sp, 1, 0)
 	}
 	tr.Finish(sp)
-	writeJSON(w, http.StatusOK, IngestResponse{Accepted: accepted})
+	writeJSON(w, http.StatusOK, IngestResponse{Accepted: accepted}, appendIngest)
 }

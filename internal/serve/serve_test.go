@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -124,6 +125,15 @@ func TestTrackEndpoint(t *testing.T) {
 	}
 	if !tr.Last.Found || tr.Last.AgeMinutes != 10 {
 		t.Errorf("track last = %+v", tr.Last)
+	}
+	// A paired tag with no reports answers an empty track, not null.
+	resp, err := http.Get(ts.URL + "/v1/track?tag=airtag-quiet&now=" + now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if body, _ := io.ReadAll(resp.Body); !bytes.HasSuffix(body, []byte(`,"track":[]}`+"\n")) {
+		t.Errorf("quiet tag track = %q, want an empty track", body)
 	}
 }
 

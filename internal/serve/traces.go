@@ -72,5 +72,5 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeReflect(w, http.StatusOK, resp)
 }
