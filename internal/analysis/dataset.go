@@ -6,6 +6,7 @@
 package analysis
 
 import (
+	"fmt"
 	"iter"
 	"math"
 	"slices"
@@ -56,12 +57,40 @@ type TruthIndex struct {
 	MaxGap time.Duration
 }
 
-// NewTruthIndex builds an index over time-sorted fixes (sorts a copy).
+// NewTruthIndex builds an index over fixes in any order: it stable-sorts
+// a copy, so fixes at one instant keep their input order.
 func NewTruthIndex(fixes []trace.GroundTruth) *TruthIndex {
 	cp := append([]trace.GroundTruth(nil), fixes...)
 	trace.SortByTime(cp)
-	return &TruthIndex{fixes: cp, MaxGap: 3 * time.Minute}
+	ti, err := NewSortedTruthIndex(cp)
+	if err != nil {
+		panic(err) // unreachable: cp was just sorted
+	}
+	return ti
 }
+
+// NewSortedTruthIndex builds an index that takes ownership of fixes
+// already in time order. It checks the order instead of sorting, and
+// returns an error naming the first fix that precedes its predecessor.
+func NewSortedTruthIndex(fixes []trace.GroundTruth) (*TruthIndex, error) {
+	for i := 1; i < len(fixes); i++ {
+		if fixes[i].T.Before(fixes[i-1].T) {
+			return nil, fmt.Errorf("analysis: truth fix %d at %v precedes fix %d at %v",
+				i, fixes[i].T, i-1, fixes[i-1].T)
+		}
+	}
+	return &TruthIndex{fixes: fixes, MaxGap: 3 * time.Minute}, nil
+}
+
+// Slice returns the index over fixes [lo, hi), sharing the backing array
+// and carrying this index's MaxGap.
+func (ti *TruthIndex) Slice(lo, hi int) *TruthIndex {
+	return &TruthIndex{fixes: ti.fixes[lo:hi:hi], MaxGap: ti.MaxGap}
+}
+
+// Fixes returns the indexed fixes in time order. The slice is the
+// index's own storage: callers must not modify it.
+func (ti *TruthIndex) Fixes() []trace.GroundTruth { return ti.fixes }
 
 // Len returns the number of fixes.
 func (ti *TruthIndex) Len() int { return len(ti.fixes) }
@@ -198,6 +227,9 @@ func DetectHomes(fixes []trace.GroundTruth, clusterRadiusM float64) []geo.LatLon
 		dwell  time.Duration
 		lastAt time.Time
 	}
+	// A cluster outside the fix's latitude band fails the distance test
+	// anyway (see geo.LatBandDeg), so skipping it keeps the first fit.
+	bandDeg := geo.LatBandDeg(clusterRadiusM)
 	var clusters []homeCluster
 next:
 	for _, f := range fixes {
@@ -206,7 +238,7 @@ next:
 		}
 		for i := range clusters {
 			c := &clusters[i]
-			if geo.Distance(c.anchor, f.Pos) <= clusterRadiusM {
+			if math.Abs(c.anchor.Lat-f.Pos.Lat) <= bandDeg && geo.Distance(c.anchor, f.Pos) <= clusterRadiusM {
 				gap := f.T.Sub(c.lastAt)
 				if gap > 0 && gap <= 10*time.Minute {
 					// Contiguous presence (stationary periods record

@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -189,5 +191,52 @@ func TestDatasetCombined(t *testing.T) {
 	}
 	if got := ds.CrawlsFor(trace.VendorApple); len(got) != 1 {
 		t.Error("vendor passthrough broken")
+	}
+}
+
+// TestSortedTruthIndexAndSlice: the sorted constructor owns its input
+// (no copy) and rejects a fix that precedes its predecessor while
+// accepting equal instants; NewTruthIndex equals it over a stable-sorted
+// copy; a Slice view shares the backing array, carries MaxGap, and
+// answers every query like an index built over the same fixes.
+func TestSortedTruthIndexAndSlice(t *testing.T) {
+	var fixes []trace.GroundTruth
+	for i := 0; i < 40; i++ {
+		at := t0.Add(time.Duration(i/2) * 4 * time.Minute) // pairs share an instant
+		fixes = append(fixes, trace.GroundTruth{T: at, Pos: geo.Destination(origin, float64(i*9), float64(i*25))})
+	}
+	ti, err := NewSortedTruthIndex(fixes)
+	if err != nil {
+		t.Fatalf("sorted fixes with equal instants rejected: %v", err)
+	}
+	if &ti.Fixes()[0] != &fixes[0] {
+		t.Error("NewSortedTruthIndex copied its input")
+	}
+	shuffled := slices.Clone(fixes)
+	slices.Reverse(shuffled[10:30])
+	if _, err := NewSortedTruthIndex(shuffled); err == nil {
+		t.Error("out-of-order fixes accepted")
+	}
+	if got := NewTruthIndex(slices.Concat(fixes[20:], fixes[:20])); !reflect.DeepEqual(got, ti) {
+		t.Error("NewTruthIndex differs from the sorted constructor over the same fixes")
+	}
+
+	ti.MaxGap = 5 * time.Minute
+	view := ti.Slice(11, 29)
+	want := NewTruthIndex(fixes[11:29])
+	want.MaxGap = ti.MaxGap
+	if !reflect.DeepEqual(view, want) || &view.Fixes()[0] != &fixes[11] {
+		t.Fatal("Slice is not a shared view of fixes [11, 29) with the parent's MaxGap")
+	}
+	if empty := ti.Slice(7, 7); empty.Len() != 0 {
+		t.Errorf("empty view holds %d fixes", empty.Len())
+	}
+	for m := -10; m < 90; m++ {
+		at := t0.Add(time.Duration(m) * time.Minute)
+		p1, ok1 := view.At(at)
+		p2, ok2 := want.At(at)
+		if p1 != p2 || ok1 != ok2 || view.HasCoverage(at, at.Add(time.Minute)) != want.HasCoverage(at, at.Add(time.Minute)) {
+			t.Fatalf("view and index disagree at %v", at)
+		}
 	}
 }

@@ -213,3 +213,96 @@ func BenchmarkHexVisits(b *testing.B) {
 		hexVisitsSink = HexVisits(fixes, 8, 5*time.Minute, 5*time.Minute)
 	}
 }
+
+// detectHomesFirstFit is DetectHomes without the latitude-band cull:
+// every cluster is tested with a haversine, first fit wins.
+func detectHomesFirstFit(fixes []trace.GroundTruth, clusterRadiusM float64) []geo.LatLon {
+	if clusterRadiusM <= 0 {
+		clusterRadiusM = 300
+	}
+	type homeCluster struct {
+		anchor geo.LatLon
+		dwell  time.Duration
+		lastAt time.Time
+	}
+	var clusters []homeCluster
+next:
+	for _, f := range fixes {
+		if f.T.UTC().Hour() >= 6 {
+			continue
+		}
+		for i := range clusters {
+			c := &clusters[i]
+			if geo.Distance(c.anchor, f.Pos) <= clusterRadiusM {
+				gap := f.T.Sub(c.lastAt)
+				if gap > 0 && gap <= 10*time.Minute {
+					c.dwell += gap
+				}
+				c.lastAt = f.T
+				continue next
+			}
+		}
+		clusters = append(clusters, homeCluster{anchor: f.Pos, lastAt: f.T})
+	}
+	var homes []geo.LatLon
+	for _, c := range clusters {
+		if c.dwell >= 30*time.Minute {
+			homes = append(homes, c.anchor)
+		}
+	}
+	return homes
+}
+
+// TestDetectHomesMatchesFirstFit checks the latitude-band cull never
+// changes which cluster a fix joins. Each fix is placed relative to an
+// earlier one: at a random offset, due north or south at the radius
+// ±1e-6 m, ±0.5 m or ±2 m (inside the band, decided by the haversine),
+// or shifted in latitude alone by the band's width ±1e-9° (at the band
+// edge). Start points include ±85°, where a degree of longitude is
+// short, so pure longitude offsets stay inside the band.
+func TestDetectHomesMatchesFirstFit(t *testing.T) {
+	starts := []geo.LatLon{origin, {Lat: 85, Lon: 10}, {Lat: -85, Lon: -120}, {Lat: 84.9999, Lon: 179.9999}}
+	rng := rand.New(rand.NewSource(23))
+	edge, homesSeen := 0, 0
+	for trial := 0; trial < 400; trial++ {
+		radius := []float64{0, 10, 100, 300}[rng.Intn(4)]
+		r := radius
+		if r <= 0 {
+			r = 300
+		}
+		band := geo.LatBandDeg(r)
+		at := time.Date(2022, 3, 7, 0, 0, 0, 0, time.UTC)
+		fixes := []trace.GroundTruth{{T: at, Pos: starts[rng.Intn(len(starts))]}}
+		for i, n := 0, 20+rng.Intn(200); i < n; i++ {
+			// Mostly overnight, minutes apart; now and then a daytime jump.
+			at = at.Add(time.Duration(1+rng.Intn(12)) * time.Minute)
+			if rng.Intn(40) == 0 {
+				at = at.Add(time.Duration(rng.Intn(20)) * time.Hour)
+			}
+			prev := fixes[rng.Intn(len(fixes))].Pos
+			var pos geo.LatLon
+			switch rng.Intn(4) {
+			case 0:
+				pos = geo.Destination(prev, rng.Float64()*360, rng.Float64()*2*r)
+			case 1:
+				d := []float64{1e-6, 0.5, 2}[rng.Intn(3)] * float64(1-2*rng.Intn(2))
+				pos = geo.Destination(prev, float64(180*rng.Intn(2)), r+d)
+			case 2:
+				pos = geo.LatLon{Lat: prev.Lat + float64(1-2*rng.Intn(2))*(band+float64(1-2*rng.Intn(2))*1e-9), Lon: prev.Lon}
+				edge++
+			default:
+				pos = geo.Destination(prev, float64(90+180*rng.Intn(2)), rng.Float64()*r)
+			}
+			fixes = append(fixes, trace.GroundTruth{T: at, Pos: pos})
+		}
+		got, want := DetectHomes(fixes, radius), detectHomesFirstFit(fixes, radius)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (radius %v): DetectHomes %v, first fit %v", trial, radius, got, want)
+		}
+		homesSeen += len(want)
+	}
+	t.Logf("%d band-edge fixes, %d homes", edge, homesSeen)
+	if edge == 0 || homesSeen == 0 {
+		t.Fatalf("degenerate trials: %d band-edge fixes, %d homes", edge, homesSeen)
+	}
+}

@@ -64,6 +64,8 @@ type Campaign struct {
 	Homes []geo.LatLon
 	// Truth indexes the home-filtered ground truth.
 	Truth *analysis.TruthIndex
+	// countryTruth holds Truth's view over each country's range.
+	countryTruth []*analysis.TruthIndex
 	// RemovedFrac is the share of fixes dropped by the home filter (the
 	// paper reports 65%).
 	RemovedFrac float64
@@ -114,6 +116,9 @@ func NewCampaign(opts Options) *Campaign {
 		RemovedFrac:    st.RemovedFrac,
 		filteredCrawls: st.Filtered,
 		indexes:        st.Indexes,
+	}
+	for _, w := range st.Worlds {
+		c.countryTruth = append(c.countryTruth, st.Truth.Slice(w.TruthLo, w.TruthHi))
 	}
 	c.From, c.To = res.Span()
 	return c

@@ -48,11 +48,12 @@ func Figure6(c *Campaign, country string) *Figure6Result {
 		Visits:       visits,
 		CellsByClass: make(map[population.DensityClass][]hexgrid.Cell),
 	}
-	for _, cell := range analysis.DistinctCells(visits) {
+	cells := analysis.DistinctCells(visits)
+	for _, cell := range cells {
 		cls := population.Classify(cr.Population.DensityOfCell(cell))
 		out.CellsByClass[cls] = append(out.CellsByClass[cls], cell)
 	}
-	out.Map = renderHexMap(analysis.DistinctCells(visits), cr.Population)
+	out.Map = renderHexMap(cells, cr.Population)
 	return out
 }
 
@@ -62,9 +63,9 @@ func renderHexMap(cells []hexgrid.Cell, pop *population.Map) string {
 	if len(cells) == 0 {
 		return "(no visited hexagons)\n"
 	}
-	var pts []geo.LatLon
-	for _, c := range cells {
-		pts = append(pts, hexgrid.CellToLatLon(c))
+	pts := make([]geo.LatLon, len(cells))
+	for i, c := range cells {
+		pts[i] = hexgrid.CellToLatLon(c)
 	}
 	box := geo.NewBBox(pts...)
 	const w, h = 48, 16
@@ -77,8 +78,8 @@ func renderHexMap(cells []hexgrid.Cell, pop *population.Map) string {
 		population.DensityMedium: 'M',
 		population.DensityHigh:   'H',
 	}
-	for _, c := range cells {
-		p := hexgrid.CellToLatLon(c)
+	for i, c := range cells {
+		p := pts[i]
 		var x, y int
 		if box.MaxLon > box.MinLon {
 			x = int((p.Lon - box.MinLon) / (box.MaxLon - box.MinLon) * (w - 1))
@@ -86,7 +87,7 @@ func renderHexMap(cells []hexgrid.Cell, pop *population.Map) string {
 		if box.MaxLat > box.MinLat {
 			y = int((box.MaxLat - p.Lat) / (box.MaxLat - box.MinLat) * (h - 1))
 		}
-		grid[clampI(y, 0, h-1)][clampI(x, 0, w-1)] = mark[population.Classify(pop.DensityOfCell(c))]
+		grid[min(max(y, 0), h-1)][min(max(x, 0), w-1)] = mark[population.Classify(pop.DensityOfCell(c))]
 	}
 	var b strings.Builder
 	for _, row := range grid {
@@ -94,16 +95,6 @@ func renderHexMap(cells []hexgrid.Cell, pop *population.Map) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-func clampI(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // Render prints the visited-hexagon summary and ASCII map.
@@ -139,9 +130,9 @@ type Figure7Result struct {
 
 // Figure7 joins per-hexagon accuracy with the density rasters across all
 // countries. The countries are independent worlds and fan out across the
-// worker pool; within one country the ground-truth filtering, truth
-// index, and hexagon visits are computed once and shared by all three
-// ecosystems (the per-vendor crawl logs still differ), and each
+// worker pool; within one country the campaign's truth view over its
+// own filtered fixes and the hexagon visits over it are shared by all
+// three ecosystems (the per-vendor crawl logs still differ), and each
 // (country, vendor) pair merges against its own one-shot analysis index.
 // Results are pooled in deterministic vendor-major, country-minor,
 // cell-sorted order.
@@ -156,9 +147,8 @@ func Figure7(c *Campaign) *Figure7Result {
 	}
 	perCountry := runner.Map(c.Options.Workers, len(c.Result.Countries), func(i int) [][]classified {
 		cr := &c.Result.Countries[i]
-		kept, _ := analysis.FilterNearHomes(cr.Dataset.GroundTruth, cr.Homes, 300)
-		truth := analysis.NewTruthIndex(kept)
-		visits := analysis.HexVisits(kept, 8, 5*time.Minute, 5*time.Minute)
+		truth := c.countryTruth[i]
+		visits := analysis.HexVisits(truth.Fixes(), 8, 5*time.Minute, 5*time.Minute)
 		cells := analysis.DistinctCells(visits)
 		out := make([][]classified, len(Vendors))
 		for vi, vendor := range Vendors {

@@ -57,6 +57,11 @@ func newCampaignFromResult(opts Options, res *scenario.WildResult) *Campaign {
 		c.filteredCrawls[v] = planes[i].crawls
 		c.indexes[v] = planes[i].index
 	}
+	// Each country's view is the filter Figure 7 once ran per call.
+	for _, cr := range res.Countries {
+		kept, _ := analysis.FilterNearHomes(cr.Dataset.GroundTruth, cr.Homes, 300)
+		c.countryTruth = append(c.countryTruth, analysis.NewTruthIndex(kept))
+	}
 	c.From, c.To = res.Span()
 	return c
 }

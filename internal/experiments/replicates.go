@@ -87,26 +87,19 @@ func (s *ReplicateSet) Table1Stats() *Table1Replicates {
 	if len(tables) == 0 {
 		return res
 	}
-	for ri, row := range tables[0].Rows {
+	// aggregate folds one row (picked from each replicate's table).
+	aggregate := func(pick func(*Table1Result) Table1Row) Table1ReplicateRow {
 		apple := make([]float64, len(tables))
 		samsung := make([]float64, len(tables))
 		for ti, t := range tables {
-			apple[ti] = float64(t.Rows[ri].AppleNow)
-			samsung[ti] = float64(t.Rows[ri].SamsungNow)
+			apple[ti], samsung[ti] = float64(pick(t).AppleNow), float64(pick(t).SamsungNow)
 		}
-		res.Rows = append(res.Rows, Table1ReplicateRow{
-			Country:    row.Country,
-			AppleNow:   newReplicateStat(apple),
-			SamsungNow: newReplicateStat(samsung),
-		})
+		return Table1ReplicateRow{Country: pick(tables[0]).Country, AppleNow: newReplicateStat(apple), SamsungNow: newReplicateStat(samsung)}
 	}
-	apple := make([]float64, len(tables))
-	samsung := make([]float64, len(tables))
-	for ti, t := range tables {
-		apple[ti] = float64(t.Total.AppleNow)
-		samsung[ti] = float64(t.Total.SamsungNow)
+	for ri := range tables[0].Rows {
+		res.Rows = append(res.Rows, aggregate(func(t *Table1Result) Table1Row { return t.Rows[ri] }))
 	}
-	res.Total = Table1ReplicateRow{Country: "Tot.", AppleNow: newReplicateStat(apple), SamsungNow: newReplicateStat(samsung)}
+	res.Total = aggregate(func(t *Table1Result) Table1Row { return t.Total })
 	return res
 }
 

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"tagsim/internal/analysis"
 	"tagsim/internal/cloud"
 	"tagsim/internal/obs"
 	"tagsim/internal/pipeline"
@@ -225,5 +226,34 @@ func TestStreamingStoreAndDumpEquivalence(t *testing.T) {
 	}
 	if len(reports) == 0 {
 		t.Error("empty dump: the campaign accepted no reports?")
+	}
+}
+
+// TestCountryTruthViews: Figure 7 reads each country's view of the
+// campaign's filtered truth. Every view must equal what Figure 7 used
+// to compute per call — the country's sorted truth filtered by its own
+// homes, indexed anew — at any worker count.
+func TestCountryTruthViews(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign experiments are slow")
+	}
+	removed := 0
+	for _, seed := range []int64{47, 53, 59} {
+		for _, workers := range []int{1, 8} {
+			c := NewCampaign(tinyOpts(seed, workers))
+			if len(c.countryTruth) != len(c.Result.Countries) {
+				t.Fatalf("seed %d workers %d: %d views for %d countries", seed, workers, len(c.countryTruth), len(c.Result.Countries))
+			}
+			for i, cr := range c.Result.Countries {
+				kept, _ := analysis.FilterNearHomes(cr.Dataset.GroundTruth, cr.Homes, 300)
+				if want := analysis.NewTruthIndex(kept); !reflect.DeepEqual(c.countryTruth[i], want) {
+					t.Errorf("seed %d workers %d %s: view holds %d fixes, want %d", seed, workers, cr.Spec.Code, c.countryTruth[i].Len(), want.Len())
+				}
+				removed += len(cr.Dataset.GroundTruth) - len(kept)
+			}
+		}
+	}
+	if removed == 0 {
+		t.Error("the home filter removed no fix in any country; the views were not exercised")
 	}
 }

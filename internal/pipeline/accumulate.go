@@ -1,7 +1,9 @@
 package pipeline
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"tagsim/internal/analysis"
 	"tagsim/internal/geo"
@@ -24,6 +26,9 @@ type WorldData struct {
 	Dataset *analysis.Dataset
 	// Homes are the participant's detected overnight locations.
 	Homes []geo.LatLon
+	// [TruthLo, TruthHi) is the world's range of CampaignState.Truth,
+	// its truth filtered by its own homes (zero from DatasetCollector).
+	TruthLo, TruthHi int
 }
 
 // CampaignState is the assembled analysis plane of one streamed
@@ -33,7 +38,7 @@ type CampaignState struct {
 	Worlds []WorldData
 	// Homes concatenates the per-country homes in campaign order.
 	Homes []geo.LatLon
-	// Truth indexes the home-filtered ground truth of the campaign.
+	// Truth indexes the campaign's home-filtered truth: the worlds' ranges.
 	Truth *analysis.TruthIndex
 	// RemovedFrac is the share of fixes dropped by the home filter.
 	RemovedFrac float64
@@ -49,14 +54,19 @@ type CampaignState struct {
 	Indexes map[trace.Vendor]*analysis.Index
 }
 
+// Close's errors where the worlds' own-home ranges would diverge from
+// the stable sort of the fixes kept by every world's homes.
+var (
+	errCrossWorldHome = errors.New("pipeline: kept fix within 300 m of another world's home")
+	errInterleaved    = errors.New("pipeline: world truths interleave")
+)
+
 // CampaignAccumulator consumes the merged batch stream and builds the
 // campaign's analysis state incrementally: crawl records are deduped
 // batch by batch (only distinct reports are retained), ground truth
 // accumulates per world, and each world's homes are detected the moment
-// its stream ends. Close resolves the cross-world parts that need the
-// whole campaign — the home filter uses every country's homes, and
-// truth resolution needs the final TruthIndex — and fans the per-vendor
-// filter+index builds out across the worker pool.
+// its stream ends. Close sorts and home-filters each world's truth, and
+// fans the per-vendor filter+index builds out across the worker pool.
 //
 // Two dedup scopes run side by side, so both consumers of crawl data
 // get exactly what a dedup of the raw logs computes: a campaign-scope
@@ -78,9 +88,13 @@ type vendorAcc struct {
 	distinct []trace.CrawlRecord
 }
 
-func newVendorAcc() *vendorAcc { return &vendorAcc{dedup: trace.NewDeduper()} }
-
-func (va *vendorAcc) add(rec trace.CrawlRecord) {
+// addTo adds rec to its vendor's scope in scopes, opening it on first use.
+func addTo(scopes map[trace.Vendor]*vendorAcc, rec trace.CrawlRecord) {
+	va, ok := scopes[rec.Vendor]
+	if !ok {
+		va = &vendorAcc{dedup: trace.NewDeduper()}
+		scopes[rec.Vendor] = va
+	}
 	if va.dedup.Keep(rec) {
 		va.distinct = append(va.distinct, rec)
 	}
@@ -120,18 +134,8 @@ func (a *CampaignAccumulator) Consume(b Batch) error {
 	wa := a.worlds[b.World]
 	wa.fixes = append(wa.fixes, b.Fixes...)
 	for _, rec := range b.Crawls {
-		ca, ok := a.camp[rec.Vendor]
-		if !ok {
-			ca = newVendorAcc()
-			a.camp[rec.Vendor] = ca
-		}
-		ca.add(rec)
-		wv, ok := wa.crawls[rec.Vendor]
-		if !ok {
-			wv = newVendorAcc()
-			wa.crawls[rec.Vendor] = wv
-		}
-		wv.add(rec)
+		addTo(a.camp, rec)
+		addTo(wa.crawls, rec)
 	}
 	if b.Final {
 		wa.homes = analysis.DetectHomes(wa.fixes, 300)
@@ -158,32 +162,40 @@ func (a *CampaignAccumulator) Close() error {
 	for _, wa := range a.worlds {
 		st.Homes = append(st.Homes, wa.homes...)
 	}
-	// The 300 m home filter runs world by world in campaign order, so
-	// the kept fixes come out in the order a filter over the
-	// concatenated stream would keep them and NewTruthIndex's stable
-	// sort builds the same index. The stream-order fixes are dropped as
-	// soon as the world's sorted dataset exists: the raw truth is never
-	// concatenated and stays resident once, in the world datasets.
+	// Each world's sorted truth is filtered by its own homes; a filter
+	// keeps relative order, so the kept fixes stay stable-sorted. This
+	// runs here, not at the world's Final, where the sorted copies raised
+	// peak RSS while later worlds still simulated.
 	var kept []trace.GroundTruth
 	total := 0
-	for _, wa := range a.worlds {
-		for _, f := range wa.fixes {
-			if !analysis.NearAnyHome(f.Pos, st.Homes, 300) {
-				kept = append(kept, f)
-			}
-		}
-		total += len(wa.fixes)
+	for i, wa := range a.worlds {
 		crawls := make(map[trace.Vendor][]trace.CrawlRecord, len(wa.crawls))
 		for v, wv := range wa.crawls {
 			crawls[v] = wv.distinct
 		}
-		st.Worlds = append(st.Worlds, WorldData{Dataset: analysis.NewDataset(wa.fixes, crawls), Homes: wa.homes})
+		ds := analysis.NewDataset(wa.fixes, crawls)
 		wa.fixes, wa.crawls = nil, nil
+		lo := len(kept)
+		for _, f := range ds.GroundTruth {
+			if analysis.NearAnyHome(f.Pos, wa.homes, 300) {
+				continue
+			}
+			// Never near its own world's homes, so this tests the others'.
+			if analysis.NearAnyHome(f.Pos, st.Homes, 300) {
+				return fmt.Errorf("pipeline: world %d keeps a fix at %v: %w", i, f.T, errCrossWorldHome)
+			}
+			kept = append(kept, f)
+		}
+		st.Worlds = append(st.Worlds, WorldData{Dataset: ds, Homes: wa.homes, TruthLo: lo, TruthHi: len(kept)})
+		total += len(ds.GroundTruth)
+	}
+	var err error
+	if st.Truth, err = analysis.NewSortedTruthIndex(slices.Clone(kept)); err != nil {
+		return fmt.Errorf("%w: %w", errInterleaved, err)
 	}
 	if total > 0 {
 		st.RemovedFrac = float64(total-len(kept)) / float64(total)
 	}
-	st.Truth = analysis.NewTruthIndex(kept)
 	mergedCrawls := make(map[trace.Vendor][]trace.CrawlRecord, len(a.camp))
 	for v, ca := range a.camp {
 		mergedCrawls[v] = ca.distinct
