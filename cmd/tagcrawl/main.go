@@ -51,8 +51,8 @@ func main() {
 		devices = append(devices, d)
 	}
 
-	airTag := tag.New("airtag-1", tag.AirTagProfile(), mobility.Stationary(spot), 1, start)
-	smartTag := tag.New("smarttag-1", tag.SmartTagProfile(), mobility.Stationary(spot), 2, start)
+	airTag := tag.New("airtag-1", tag.AirTagProfile(), mobility.Stationary(spot))
+	smartTag := tag.New("smarttag-1", tag.SmartTagProfile(), mobility.Stationary(spot))
 	apple := cloud.NewService(tagsim.VendorApple)
 	samsung := cloud.NewService(tagsim.VendorSamsung)
 	apple.Register(airTag.ID)

@@ -1,6 +1,6 @@
-// Quickstart: decode tag beacons off the air, check the radio calibration
-// against the paper's Figure 2, and query the battery model — no long
-// simulation required.
+// Quickstart: receive tag beacons in a one-minute run, check the radio
+// calibration against the paper's Figure 2, and query the battery model —
+// no long simulation required.
 package main
 
 import (
@@ -15,15 +15,13 @@ func main() {
 	fmt.Println(tagsim.String())
 	fmt.Println()
 
-	// 1. Every tag advertises BLE frames; build one and decode it with
-	// the gopacket-style codec. The first five bytes of an AirTag's
-	// advertising data are the "1EFF004C12" signature the paper keys on.
+	// 1. Every tag advertises BLE beacons at its profile's cadence and
+	// power. The simulator models beacons statistically, as received
+	// signal strengths, rather than as frames.
 	profile := tagsim.AirTagProfile()
 	fmt.Printf("AirTag advertises every %v at %+.0f dBm\n", profile.AdvInterval, profile.TxPowerDBm)
 
-	// Tags are simulated end-to-end, but the wire format is real enough
-	// to decode: fabricate one frame via the secluded-area experiment's
-	// machinery instead.
+	// The secluded-area experiment records every beacon a phone hears.
 	rssi := tagsim.SecludedRSSI(tagsim.SecludedConfig{Seed: 42, Duration: time.Minute})
 	if len(rssi) == 0 {
 		log.Fatal("no beacons received")

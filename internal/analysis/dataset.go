@@ -83,9 +83,14 @@ func NewSortedTruthIndex(fixes []trace.GroundTruth) (*TruthIndex, error) {
 }
 
 // Slice returns the index over fixes [lo, hi), sharing the backing array
-// and carrying this index's MaxGap.
+// and carrying this index's MaxGap. An empty range holds no fixes, like
+// NewTruthIndex(nil).
 func (ti *TruthIndex) Slice(lo, hi int) *TruthIndex {
-	return &TruthIndex{fixes: ti.fixes[lo:hi:hi], MaxGap: ti.MaxGap}
+	view := &TruthIndex{MaxGap: ti.MaxGap}
+	if lo != hi {
+		view.fixes = ti.fixes[lo:hi:hi]
+	}
+	return view
 }
 
 // Fixes returns the indexed fixes in time order. The slice is the

@@ -228,8 +228,10 @@ func TestSortedTruthIndexAndSlice(t *testing.T) {
 	if !reflect.DeepEqual(view, want) || &view.Fixes()[0] != &fixes[11] {
 		t.Fatal("Slice is not a shared view of fixes [11, 29) with the parent's MaxGap")
 	}
-	if empty := ti.Slice(7, 7); empty.Len() != 0 {
-		t.Errorf("empty view holds %d fixes", empty.Len())
+	none := NewTruthIndex(nil)
+	none.MaxGap = ti.MaxGap
+	if empty := ti.Slice(7, 7); !reflect.DeepEqual(empty, none) {
+		t.Errorf("empty view holds %#v, want the index over no fixes", empty.Fixes())
 	}
 	for m := -10; m < 90; m++ {
 		at := t0.Add(time.Duration(m) * time.Minute)

@@ -95,12 +95,3 @@ func DistinctCells(visits []HexVisit) []hexgrid.Cell {
 func CellAccuracy(truth *TruthIndex, reports []trace.CrawlRecord, visits []HexVisit, bucket time.Duration, radiusM float64) map[hexgrid.Cell]float64 {
 	return NewIndex(truth, reports).CellAccuracy(visits, bucket, radiusM)
 }
-
-// TotalDwellByCell sums visit durations per cell.
-func TotalDwellByCell(visits []HexVisit) map[hexgrid.Cell]time.Duration {
-	out := make(map[hexgrid.Cell]time.Duration)
-	for _, v := range visits {
-		out[v.Cell] += v.Duration()
-	}
-	return out
-}

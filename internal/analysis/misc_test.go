@@ -226,10 +226,6 @@ func TestHexVisits(t *testing.T) {
 	if len(cells) != 1 || cells[0] != cellA {
 		t.Errorf("distinct cells = %v", cells)
 	}
-	dwell := TotalDwellByCell(visits)
-	if dwell[cellA] < 9*time.Minute {
-		t.Error("dwell map wrong")
-	}
 }
 
 func TestHexVisitsGapSplits(t *testing.T) {

@@ -244,14 +244,6 @@ type weirdModel struct{}
 
 func (weirdModel) Pos(time.Time) geo.LatLon { return geo.LatLon{} }
 
-func TestFleetCountByVendor(t *testing.T) {
-	f := NewFleet(origin, []*Device{newApple("a1"), newApple("a2"), newSamsung("s1")})
-	counts := f.CountByVendor()
-	if counts[trace.VendorApple] != 2 || counts[trace.VendorSamsung] != 1 {
-		t.Errorf("counts = %v", counts)
-	}
-}
-
 func TestFleetResetCooldowns(t *testing.T) {
 	d := newSamsung("s")
 	d.Strategy.ReportProb = 1

@@ -8,7 +8,6 @@ import (
 	"tagsim/internal/geo"
 	"tagsim/internal/mobility"
 	"tagsim/internal/obs"
-	"tagsim/internal/trace"
 )
 
 // Fleet is a spatially indexed collection of devices. The encounter plane
@@ -310,15 +309,6 @@ func (f *Fleet) Len() int { return len(f.devices) }
 
 // Devices returns the underlying slice (shared, not a copy).
 func (f *Fleet) Devices() []*Device { return f.devices }
-
-// CountByVendor tallies devices per vendor.
-func (f *Fleet) CountByVendor() map[trace.Vendor]int {
-	out := make(map[trace.Vendor]int)
-	for _, d := range f.devices {
-		out[d.Vendor]++
-	}
-	return out
-}
 
 // Near appends to dst the devices that are active at time t and could be
 // within radiusM of pos (callers still verify true distance via Pos). It

@@ -72,10 +72,10 @@ func benchTags(nTags int, diskM float64) ([]*tag.Tag, map[trace.Vendor]*cloud.Se
 	for i := range tags {
 		pos := geo.Destination(origin, rng.Float64()*360, diskM*math.Sqrt(rng.Float64()))
 		if i%2 == 0 {
-			tags[i] = tag.New(fmt.Sprintf("air-%03d", i), tag.AirTagProfile(), mobility.Stationary(pos), uint64(i), t0)
+			tags[i] = tag.New(fmt.Sprintf("air-%03d", i), tag.AirTagProfile(), mobility.Stationary(pos))
 			apple.Register(tags[i].ID)
 		} else {
-			tags[i] = tag.New(fmt.Sprintf("smart-%03d", i), tag.SmartTagProfile(), mobility.Stationary(pos), uint64(i), t0)
+			tags[i] = tag.New(fmt.Sprintf("smart-%03d", i), tag.SmartTagProfile(), mobility.Stationary(pos))
 			samsung.Register(tags[i].ID)
 		}
 	}

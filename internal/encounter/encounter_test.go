@@ -46,8 +46,8 @@ func buildWorld(nApple, nSamsung int, distM float64, cfg Config) *world {
 		devices = append(devices, d)
 	}
 	fleet := device.NewFleet(origin, devices)
-	air := tag.New("airtag-1", tag.AirTagProfile(), mobility.Stationary(origin), 1, t0)
-	smart := tag.New("smarttag-1", tag.SmartTagProfile(), mobility.Stationary(origin), 2, t0)
+	air := tag.New("airtag-1", tag.AirTagProfile(), mobility.Stationary(origin))
+	smart := tag.New("smarttag-1", tag.SmartTagProfile(), mobility.Stationary(origin))
 	apple := cloud.NewService(trace.VendorApple)
 	samsung := cloud.NewService(trace.VendorSamsung)
 	apple.Register(air.ID)
@@ -250,7 +250,7 @@ func TestMovingTagPicksUpRoadsideDevices(t *testing.T) {
 	b := mobility.NewBuilder(t0, origin)
 	b.MoveTo(dest, 5)
 	walker := b.Build()
-	air := tag.New("airtag-1", tag.AirTagProfile(), walker, 3, t0)
+	air := tag.New("airtag-1", tag.AirTagProfile(), walker)
 	apple := cloud.NewService(trace.VendorApple)
 	plane := New(Config{}, e, fleet, []*tag.Tag{air}, map[trace.Vendor]*cloud.Service{trace.VendorApple: apple})
 	plane.Attach(t0)
@@ -292,7 +292,7 @@ func TestScanStream(t *testing.T) {
 func TestBeaconCarryUnbiased(t *testing.T) {
 	e := sim.NewEngine(t0, 11)
 	fleet := device.NewFleet(origin, nil)
-	air := tag.New("airtag-1", tag.AirTagProfile(), mobility.Stationary(origin), 1, t0)
+	air := tag.New("airtag-1", tag.AirTagProfile(), mobility.Stationary(origin))
 	// 45 s scans at a 2 s advertising interval: 22.5 expected beacons per
 	// tick. Truncation would count 22 per tick (a 2.2% long-run bias).
 	plane := New(Config{ScanInterval: 45 * time.Second}, e, fleet, []*tag.Tag{air}, nil)

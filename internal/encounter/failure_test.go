@@ -18,7 +18,7 @@ func TestMissingServiceDoesNotPanic(t *testing.T) {
 	e := sim.NewEngine(t0, 1)
 	d := device.New("iphone-1", trace.VendorApple, origin, mobility.Stationary(origin))
 	fleet := device.NewFleet(origin, []*device.Device{d})
-	air := tag.New("airtag-1", tag.AirTagProfile(), mobility.Stationary(origin), 1, t0)
+	air := tag.New("airtag-1", tag.AirTagProfile(), mobility.Stationary(origin))
 	plane := New(Config{}, e, fleet, []*tag.Tag{air}, nil) // no services at all
 	plane.Attach(t0)
 	e.RunFor(time.Hour)
@@ -39,7 +39,7 @@ func TestInactiveDevicesInvisible(t *testing.T) {
 	d.ActiveFrom = t0.Add(2 * time.Hour)
 	d.ActiveTo = t0.Add(3 * time.Hour)
 	fleet := device.NewFleet(origin, []*device.Device{d})
-	air := tag.New("airtag-1", tag.AirTagProfile(), mobility.Stationary(origin), 1, t0)
+	air := tag.New("airtag-1", tag.AirTagProfile(), mobility.Stationary(origin))
 	svc := cloud.NewService(trace.VendorApple)
 	svc.Register(air.ID)
 	plane := New(Config{}, e, fleet, []*tag.Tag{air}, map[trace.Vendor]*cloud.Service{trace.VendorApple: svc})
@@ -73,7 +73,7 @@ func TestAllDevicesOfflineNoDeliveries(t *testing.T) {
 		devices = append(devices, d)
 	}
 	fleet := device.NewFleet(origin, devices)
-	air := tag.New("airtag-1", tag.AirTagProfile(), mobility.Stationary(origin), 1, t0)
+	air := tag.New("airtag-1", tag.AirTagProfile(), mobility.Stationary(origin))
 	svc := cloud.NewService(trace.VendorApple)
 	svc.Register(air.ID)
 	plane := New(Config{}, e, fleet, []*tag.Tag{air}, map[trace.Vendor]*cloud.Service{trace.VendorApple: svc})
@@ -89,7 +89,7 @@ func TestAllDevicesOfflineNoDeliveries(t *testing.T) {
 func TestBeaconAccountingGrows(t *testing.T) {
 	e := sim.NewEngine(t0, 4)
 	fleet := device.NewFleet(origin, nil)
-	air := tag.New("airtag-1", tag.AirTagProfile(), mobility.Stationary(origin), 1, t0)
+	air := tag.New("airtag-1", tag.AirTagProfile(), mobility.Stationary(origin))
 	plane := New(Config{}, e, fleet, []*tag.Tag{air}, nil)
 	plane.Attach(t0)
 	e.RunFor(time.Hour)
@@ -104,7 +104,7 @@ func TestStopDetachesPlane(t *testing.T) {
 	e := sim.NewEngine(t0, 5)
 	d := device.New("iphone-1", trace.VendorApple, origin, mobility.Stationary(origin))
 	fleet := device.NewFleet(origin, []*device.Device{d})
-	air := tag.New("airtag-1", tag.AirTagProfile(), mobility.Stationary(origin), 1, t0)
+	air := tag.New("airtag-1", tag.AirTagProfile(), mobility.Stationary(origin))
 	svc := cloud.NewService(trace.VendorApple)
 	svc.Register(air.ID)
 	plane := New(Config{}, e, fleet, []*tag.Tag{air}, map[trace.Vendor]*cloud.Service{trace.VendorApple: svc})

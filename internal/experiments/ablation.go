@@ -74,7 +74,7 @@ func AblationStrategies(seed int64, crowd int, hours int) *AblationResult {
 			d.Strategy = cfg.strategy
 			devices[i] = d
 		}
-		tg := tag.New("tag-1", tag.AirTagProfile(), mobility.Stationary(spot), uint64(seed), start)
+		tg := tag.New("tag-1", tag.AirTagProfile(), mobility.Stationary(spot))
 		svc := cloud.NewService(trace.VendorApple)
 		if cfg.capOff {
 			svc.MinUpdateInterval = 0

@@ -49,17 +49,18 @@ func Figure6(c *Campaign, country string) *Figure6Result {
 		CellsByClass: make(map[population.DensityClass][]hexgrid.Cell),
 	}
 	cells := analysis.DistinctCells(visits)
-	for _, cell := range cells {
-		cls := population.Classify(cr.Population.DensityOfCell(cell))
-		out.CellsByClass[cls] = append(out.CellsByClass[cls], cell)
+	classes := make([]population.DensityClass, len(cells))
+	for i, cell := range cells {
+		classes[i] = population.Classify(cr.Population.DensityOfCell(cell))
+		out.CellsByClass[classes[i]] = append(out.CellsByClass[classes[i]], cell)
 	}
-	out.Map = renderHexMap(cells, cr.Population)
+	out.Map = renderHexMap(cells, classes)
 	return out
 }
 
 // renderHexMap draws visited cells on a small ASCII grid: L/M/H for the
-// density class of each visited hexagon.
-func renderHexMap(cells []hexgrid.Cell, pop *population.Map) string {
+// density class of each visited hexagon (classes[i] is cells[i]'s).
+func renderHexMap(cells []hexgrid.Cell, classes []population.DensityClass) string {
 	if len(cells) == 0 {
 		return "(no visited hexagons)\n"
 	}
@@ -78,8 +79,7 @@ func renderHexMap(cells []hexgrid.Cell, pop *population.Map) string {
 		population.DensityMedium: 'M',
 		population.DensityHigh:   'H',
 	}
-	for i, c := range cells {
-		p := pts[i]
+	for i, p := range pts {
 		var x, y int
 		if box.MaxLon > box.MinLon {
 			x = int((p.Lon - box.MinLon) / (box.MaxLon - box.MinLon) * (w - 1))
@@ -87,7 +87,7 @@ func renderHexMap(cells []hexgrid.Cell, pop *population.Map) string {
 		if box.MaxLat > box.MinLat {
 			y = int((box.MaxLat - p.Lat) / (box.MaxLat - box.MinLat) * (h - 1))
 		}
-		grid[min(max(y, 0), h-1)][min(max(x, 0), w-1)] = mark[population.Classify(pop.DensityOfCell(c))]
+		grid[min(max(y, 0), h-1)][min(max(x, 0), w-1)] = mark[classes[i]]
 	}
 	var b strings.Builder
 	for _, row := range grid {

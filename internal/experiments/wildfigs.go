@@ -253,16 +253,6 @@ func (r *Figure5ClassResult) Mean(class string, radiusM float64) float64 {
 	return nan()
 }
 
-// Test returns the significance stars between two adjacent classes.
-func (r *Figure5ClassResult) Test(a, b string) (PairTest, bool) {
-	for _, t := range r.Tests {
-		if t.A == a && t.B == b {
-			return t, true
-		}
-	}
-	return PairTest{}, false
-}
-
 // Render prints the panel with significance annotations.
 func (r *Figure5ClassResult) Render() string {
 	var b strings.Builder

@@ -27,14 +27,6 @@ type LatLon struct {
 // IsZero reports whether p is the zero position (0, 0).
 func (p LatLon) IsZero() bool { return p.Lat == 0 && p.Lon == 0 }
 
-// Valid reports whether the coordinates are finite and within WGS-84 bounds.
-func (p LatLon) Valid() bool {
-	if math.IsNaN(p.Lat) || math.IsNaN(p.Lon) || math.IsInf(p.Lat, 0) || math.IsInf(p.Lon, 0) {
-		return false
-	}
-	return p.Lat >= -90 && p.Lat <= 90 && p.Lon >= -180 && p.Lon <= 180
-}
-
 // String formats the position with ~0.1 m precision (6 decimal places).
 func (p LatLon) String() string {
 	return fmt.Sprintf("(%.6f, %.6f)", p.Lat, p.Lon)
@@ -182,7 +174,6 @@ func clamp(v, lo, hi float64) float64 {
 // nearby WGS-84 positions to planar meters, which the radio and hexgrid
 // packages use for geometry that must be exactly Euclidean.
 type ENU struct {
-	origin   LatLon
 	cosLat   float64
 	originLa float64 // origin latitude in radians
 	originLo float64 // origin longitude in radians
@@ -191,11 +182,8 @@ type ENU struct {
 // NewENU anchors a local tangent plane at origin.
 func NewENU(origin LatLon) *ENU {
 	lat, lon := origin.Radians()
-	return &ENU{origin: origin, cosLat: math.Cos(lat), originLa: lat, originLo: lon}
+	return &ENU{cosLat: math.Cos(lat), originLa: lat, originLo: lon}
 }
-
-// Origin returns the anchor position.
-func (e *ENU) Origin() LatLon { return e.origin }
 
 // Forward projects a position to local (east, north) meters.
 func (e *ENU) Forward(p LatLon) (x, y float64) {
@@ -256,11 +244,6 @@ func (b BBox) Contains(p LatLon) bool {
 	return p.Lat >= b.MinLat && p.Lat <= b.MaxLat && p.Lon >= b.MinLon && p.Lon <= b.MaxLon
 }
 
-// Center returns the box center.
-func (b BBox) Center() LatLon {
-	return LatLon{Lat: (b.MinLat + b.MaxLat) / 2, Lon: NormalizeLon((b.MinLon + b.MaxLon) / 2)}
-}
-
 // Buffer returns the box expanded by meters on every side.
 func (b BBox) Buffer(meters float64) BBox {
 	dLat := meters / EarthRadiusMeters * 180 / math.Pi
@@ -311,21 +294,6 @@ func (p Path) At(distanceM float64) LatLon {
 		remaining -= seg
 	}
 	return p[len(p)-1]
-}
-
-// Resample returns the path sampled every stepM meters, always including
-// both endpoints.
-func (p Path) Resample(stepM float64) Path {
-	if len(p) < 2 || stepM <= 0 {
-		return append(Path(nil), p...)
-	}
-	total := p.Length()
-	var out Path
-	for d := 0.0; d < total; d += stepM {
-		out = append(out, p.At(d))
-	}
-	out = append(out, p[len(p)-1])
-	return out
 }
 
 // Speed conversion helpers. The paper classifies mobility by km/h.

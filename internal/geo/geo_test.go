@@ -159,10 +159,6 @@ func TestBBox(t *testing.T) {
 	if !buf.Contains(Destination(milan, 0, 900)) {
 		t.Error("buffered box should contain point 900m north of milan")
 	}
-	center := NewBBox(LatLon{10, 10}, LatLon{12, 14}).Center()
-	if center.Lat != 11 || center.Lon != 12 {
-		t.Errorf("center = %v, want (11, 12)", center)
-	}
 }
 
 func TestBBoxEmpty(t *testing.T) {
@@ -213,22 +209,6 @@ func TestPathEdgeCases(t *testing.T) {
 	}
 }
 
-func TestPathResample(t *testing.T) {
-	p := Path{nyuAD, Destination(nyuAD, 90, 1000)}
-	rs := p.Resample(100)
-	if len(rs) < 10 || len(rs) > 12 {
-		t.Fatalf("Resample produced %d points", len(rs))
-	}
-	if d := Distance(rs[len(rs)-1], p[1]); d > 0.01 {
-		t.Error("resample must keep the final endpoint")
-	}
-	for i := 1; i < len(rs)-1; i++ {
-		if d := Distance(rs[i-1], rs[i]); math.Abs(d-100) > 1 {
-			t.Fatalf("step %d has length %.2f, want 100", i, d)
-		}
-	}
-}
-
 func TestNormalizeLon(t *testing.T) {
 	cases := []struct{ in, want float64 }{
 		{0, 0}, {180, 180}, {-180, 180}, {190, -170}, {-190, 170}, {540, 180}, {361, 1},
@@ -236,21 +216,6 @@ func TestNormalizeLon(t *testing.T) {
 	for _, c := range cases {
 		if got := NormalizeLon(c.in); math.Abs(got-c.want) > 1e-9 {
 			t.Errorf("NormalizeLon(%v) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
-func TestValid(t *testing.T) {
-	valid := []LatLon{{0, 0}, {90, 180}, {-90, -180}, nyuAD}
-	for _, p := range valid {
-		if !p.Valid() {
-			t.Errorf("%v should be valid", p)
-		}
-	}
-	invalid := []LatLon{{91, 0}, {0, 181}, {math.NaN(), 0}, {0, math.Inf(1)}}
-	for _, p := range invalid {
-		if p.Valid() {
-			t.Errorf("%v should be invalid", p)
 		}
 	}
 }

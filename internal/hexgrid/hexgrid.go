@@ -21,7 +21,6 @@
 package hexgrid
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -89,19 +88,6 @@ func (c Cell) Valid() bool {
 // String renders the cell like an H3 index: a 16-digit hex literal.
 func (c Cell) String() string { return fmt.Sprintf("%016x", uint64(c)) }
 
-// ParseCell parses the String form.
-func ParseCell(s string) (Cell, error) {
-	var v uint64
-	if _, err := fmt.Sscanf(s, "%x", &v); err != nil {
-		return Invalid, fmt.Errorf("hexgrid: parse cell %q: %w", s, err)
-	}
-	c := Cell(v)
-	if !c.Valid() {
-		return Invalid, errors.New("hexgrid: parsed cell is invalid")
-	}
-	return c, nil
-}
-
 // meanHexAreaKm2 is the published H3 average hexagon area per resolution
 // (km^2), from the H3 cell statistics table. Our lattice pitch is derived
 // from these values so that cell areas match H3's at every resolution.
@@ -119,16 +105,6 @@ func MeanHexAreaKm2(res int) float64 {
 		return math.NaN()
 	}
 	return meanHexAreaKm2[res]
-}
-
-// NumCells returns the total number of H3 cells at a resolution,
-// c = 2 + 120*7^r (the formula quoted in the paper's appendix).
-func NumCells(res int) uint64 {
-	n := uint64(120)
-	for i := 0; i < res; i++ {
-		n *= 7
-	}
-	return n + 2
 }
 
 // EdgeLengthM returns the edge length (meters) of a regular hexagon with
@@ -388,89 +364,6 @@ func CellToLatLon(c Cell) geo.LatLon {
 	q, r := c.axial()
 	x, y := lattices[res].axialToPlane(float64(q), float64(r))
 	return vecToLatLon(planeToVec(c.Face(), x, y))
-}
-
-// Boundary returns the six vertices of the cell in order.
-func Boundary(c Cell) []geo.LatLon {
-	res := c.Resolution()
-	q, r := c.axial()
-	l := &lattices[res]
-	cx, cy := l.axialToPlane(float64(q), float64(r))
-	size, rot := l.size, l.rot
-	out := make([]geo.LatLon, 6)
-	for k := 0; k < 6; k++ {
-		// Pointy-top vertices at 30 + 60k degrees, then lattice rotation.
-		a := math.Pi/6 + float64(k)*math.Pi/3 + rot
-		vx := cx + size*math.Cos(a)
-		vy := cy + size*math.Sin(a)
-		out[k] = vecToLatLon(planeToVec(c.Face(), vx, vy))
-	}
-	return out
-}
-
-// Neighbors returns the (up to) six cells adjacent to c. Adjacency is
-// computed geometrically - the six surrounding centers are re-hashed - so it
-// remains consistent for cells near face seams, where the neighbor may live
-// on a different face's lattice.
-func Neighbors(c Cell) []Cell {
-	res := c.Resolution()
-	center := CellToLatLon(c)
-	// Neighbor centers lie at distance sqrt(3)*edge in the plane.
-	d := math.Sqrt(3) * hexSize(res)
-	seen := make(map[Cell]bool, 7)
-	seen[c] = true
-	out := make([]Cell, 0, 6)
-	for k := 0; k < 6; k++ {
-		bearing := float64(k) * 60
-		n := LatLonToCell(geo.Destination(center, bearing, d), res)
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// GridDisk returns all cells within k lattice steps of c (including c),
-// discovered by breadth-first expansion over Neighbors.
-func GridDisk(c Cell, k int) []Cell {
-	seen := map[Cell]bool{c: true}
-	frontier := []Cell{c}
-	out := []Cell{c}
-	for step := 0; step < k; step++ {
-		var next []Cell
-		for _, cell := range frontier {
-			for _, n := range Neighbors(cell) {
-				if !seen[n] {
-					seen[n] = true
-					next = append(next, n)
-					out = append(out, n)
-				}
-			}
-		}
-		frontier = next
-	}
-	return out
-}
-
-// Parent returns the cell at the coarser resolution containing c's center.
-// It returns Invalid when c is already at resolution 0.
-func Parent(c Cell) Cell {
-	res := c.Resolution()
-	if res == 0 {
-		return Invalid
-	}
-	return LatLonToCell(CellToLatLon(c), res-1)
-}
-
-// CenterChild returns the child cell at the finer resolution containing c's
-// center, or Invalid at MaxResolution.
-func CenterChild(c Cell) Cell {
-	res := c.Resolution()
-	if res >= MaxResolution {
-		return Invalid
-	}
-	return LatLonToCell(CellToLatLon(c), res+1)
 }
 
 // CoverBBox returns the set of cells at a resolution that cover the bounding

@@ -38,23 +38,6 @@ func TestInvalidCell(t *testing.T) {
 	}
 }
 
-func TestStringParseRoundTrip(t *testing.T) {
-	c := LatLonToCell(abuDhabi, 8)
-	parsed, err := ParseCell(c.String())
-	if err != nil {
-		t.Fatalf("ParseCell: %v", err)
-	}
-	if parsed != c {
-		t.Errorf("round trip %v != %v", parsed, c)
-	}
-	if _, err := ParseCell("zzzz"); err == nil {
-		t.Error("ParseCell should reject garbage")
-	}
-	if _, err := ParseCell("0000000000000000"); err == nil {
-		t.Error("ParseCell should reject the invalid zero cell")
-	}
-}
-
 func TestLatLonToCellDeterministic(t *testing.T) {
 	for res := 0; res <= 12; res++ {
 		a := LatLonToCell(abuDhabi, res)
@@ -116,16 +99,6 @@ func TestResolution8Area(t *testing.T) {
 	}
 }
 
-func TestNumCellsFormula(t *testing.T) {
-	// c = 2 + 120*7^r, as quoted in the paper's appendix.
-	if got := NumCells(0); got != 122 {
-		t.Errorf("NumCells(0) = %d, want 122", got)
-	}
-	if got := NumCells(8); got != 691776122 {
-		t.Errorf("NumCells(8) = %d, want 691776122", got)
-	}
-}
-
 func TestEdgeLengthMonotone(t *testing.T) {
 	for res := 1; res <= MaxResolution; res++ {
 		if EdgeLengthM(res) >= EdgeLengthM(res-1) {
@@ -136,100 +109,6 @@ func TestEdgeLengthMonotone(t *testing.T) {
 	ratio := EdgeLengthM(7) / EdgeLengthM(8)
 	if math.Abs(ratio-math.Sqrt(7)) > 0.03 {
 		t.Errorf("aperture ratio = %.4f, want ~%.4f", ratio, math.Sqrt(7))
-	}
-}
-
-func TestBoundaryHexagon(t *testing.T) {
-	c := LatLonToCell(abuDhabi, 8)
-	b := Boundary(c)
-	if len(b) != 6 {
-		t.Fatalf("boundary has %d vertices", len(b))
-	}
-	center := CellToLatLon(c)
-	edge := EdgeLengthM(8)
-	for i, v := range b {
-		d := geo.Distance(center, v)
-		if math.Abs(d-edge) > edge*0.1 {
-			t.Errorf("vertex %d at distance %.1f, want ~%.1f", i, d, edge)
-		}
-	}
-	// Vertices must hash to the cell or one of its neighbors, i.e. the
-	// boundary is a genuine cell boundary.
-	neighbors := map[Cell]bool{c: true}
-	for _, n := range Neighbors(c) {
-		neighbors[n] = true
-	}
-	for i, v := range b {
-		if !neighbors[LatLonToCell(v, 8)] {
-			t.Errorf("vertex %d hashes to a non-adjacent cell", i)
-		}
-	}
-}
-
-func TestNeighborsSymmetricAndDistinct(t *testing.T) {
-	c := LatLonToCell(milan, 8)
-	ns := Neighbors(c)
-	if len(ns) != 6 {
-		t.Fatalf("expected 6 neighbors, got %d", len(ns))
-	}
-	seen := map[Cell]bool{}
-	for _, n := range ns {
-		if n == c {
-			t.Fatal("cell is its own neighbor")
-		}
-		if seen[n] {
-			t.Fatal("duplicate neighbor")
-		}
-		seen[n] = true
-		// Symmetry: c should be among n's neighbors.
-		back := Neighbors(n)
-		found := false
-		for _, b := range back {
-			if b == c {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("neighbor %v does not list %v back", n, c)
-		}
-	}
-}
-
-func TestGridDiskSizes(t *testing.T) {
-	c := LatLonToCell(abuDhabi, 8)
-	// Hexagonal disks have 1, 7, 19, 37 cells for k = 0..3.
-	want := []int{1, 7, 19, 37}
-	for k, w := range want {
-		got := len(GridDisk(c, k))
-		if got != w {
-			t.Errorf("GridDisk(k=%d) = %d cells, want %d", k, got, w)
-		}
-	}
-}
-
-func TestParentChild(t *testing.T) {
-	c := LatLonToCell(abuDhabi, 8)
-	p := Parent(c)
-	if p.Resolution() != 7 {
-		t.Fatalf("parent resolution = %d", p.Resolution())
-	}
-	// The child's center must be inside the parent (hash to it).
-	if LatLonToCell(CellToLatLon(c), 7) != p {
-		t.Error("child center not contained in parent")
-	}
-	cc := CenterChild(p)
-	if cc.Resolution() != 8 {
-		t.Fatalf("center child resolution = %d", cc.Resolution())
-	}
-	if Parent(cc) != p {
-		t.Error("CenterChild/Parent are not inverse")
-	}
-	// Resolution-0 cells have no parent; max-res cells have no child.
-	if Parent(LatLonToCell(abuDhabi, 0)) != Invalid {
-		t.Error("res-0 parent should be Invalid")
-	}
-	if CenterChild(LatLonToCell(abuDhabi, MaxResolution)) != Invalid {
-		t.Error("max-res center child should be Invalid")
 	}
 }
 
@@ -298,21 +177,5 @@ func TestFaceAssignmentStable(t *testing.T) {
 func BenchmarkLatLonToCell(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		LatLonToCell(abuDhabi, 8)
-	}
-}
-
-func BenchmarkNeighbors(b *testing.B) {
-	c := LatLonToCell(abuDhabi, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Neighbors(c)
-	}
-}
-
-func BenchmarkGridDisk3(b *testing.B) {
-	c := LatLonToCell(abuDhabi, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		GridDisk(c, 3)
 	}
 }

@@ -179,17 +179,6 @@ func (it *Itinerary) at(i int) geo.LatLon {
 	return it.rows[i-1].end
 }
 
-// TotalDistanceM returns the ground distance covered by legs.
-func (it *Itinerary) TotalDistanceM() float64 {
-	var total float64
-	for i, r := range it.rows {
-		if r.speed > 0 {
-			total += geo.Distance(it.at(i), r.end)
-		}
-	}
-	return total
-}
-
 // DistanceByClass returns the ground distance covered per speed class,
 // in meters — the decomposition behind Table 1's Walk/Jog/Transit columns.
 func (it *Itinerary) DistanceByClass() map[SpeedClass]float64 {
@@ -330,17 +319,4 @@ func (it *Itinerary) Extent(from, to time.Time, hint int) Span {
 		}
 	}
 	return sp
-}
-
-// SpeedKmhAt estimates a model's speed at time t by symmetric finite
-// difference over a window (the vantage-point app estimates speed the same
-// way, from consecutive GPS fixes).
-func SpeedKmhAt(m Model, t time.Time, window time.Duration) float64 {
-	if window <= 0 {
-		window = 5 * time.Second
-	}
-	half := window / 2
-	a := m.Pos(t.Add(-half))
-	b := m.Pos(t.Add(half))
-	return geo.MsToKmh(geo.Distance(a, b) / window.Seconds())
 }

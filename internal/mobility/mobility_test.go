@@ -136,9 +136,6 @@ func TestItineraryDistances(t *testing.T) {
 	bl.MoveTo(c, 30) // transit 2 km
 	bl.Stay(time.Hour)
 	it := bl.Build()
-	if d := it.TotalDistanceM(); math.Abs(d-3000) > 5 {
-		t.Errorf("TotalDistanceM = %.1f", d)
-	}
 	byClass := it.DistanceByClass()
 	if math.Abs(byClass[ClassPedestrian]-1000) > 5 {
 		t.Errorf("pedestrian distance = %.1f", byClass[ClassPedestrian])
@@ -185,7 +182,7 @@ func (m move) PosAt(elapsed time.Duration) geo.LatLon {
 func (m move) End() geo.LatLon { return m.Along[len(m.Along)-1] }
 
 // segItinerary is the segment-slice representation the compact table
-// replaced: NewItinerary, Pos, TotalDistanceM and DistanceByClass as
+// replaced: NewItinerary, Pos and DistanceByClass as
 // they read before the table.
 type segItinerary struct {
 	start    time.Time
@@ -229,16 +226,6 @@ func (it *segItinerary) Pos(t time.Time) geo.LatLon {
 		}
 	}
 	return it.segments[lo].PosAt(elapsed - it.offsets[lo])
-}
-
-func (it *segItinerary) TotalDistanceM() float64 {
-	var total float64
-	for _, s := range it.segments {
-		if m, ok := s.(move); ok {
-			total += m.Along.Length()
-		}
-	}
-	return total
 }
 
 func (it *segItinerary) DistanceByClass() map[SpeedClass]float64 {
@@ -308,7 +295,7 @@ func replay(t *testing.T, rng *rand.Rand, b *Builder) (segs []segment, noops int
 // TestItineraryMatchesSegmentOracle pins the table Builder fills to the
 // segment slice it replaced, bit for bit: Pos before the start, at,
 // just before and just after every row boundary, inside every row and
-// after the end, and TotalDistanceM and DistanceByClass. Each itinerary
+// after the end, and DistanceByClass. Each itinerary
 // is checked again after the next one is built, as builders grow their
 // rows in shared scratch.
 func TestItineraryMatchesSegmentOracle(t *testing.T) {
@@ -338,9 +325,6 @@ func TestItineraryMatchesSegmentOracle(t *testing.T) {
 			if !same(got, w) {
 				t.Fatalf("trial %d: Pos(start%+v) = %v, oracle %v", trial, when.Sub(start), got, w)
 			}
-		}
-		if got, w := it.TotalDistanceM(), want.TotalDistanceM(); math.Float64bits(got) != math.Float64bits(w) {
-			t.Fatalf("trial %d: TotalDistanceM = %v, oracle %v", trial, got, w)
 		}
 		got, w := it.DistanceByClass(), want.DistanceByClass()
 		if len(got) != len(w) {
@@ -420,24 +404,6 @@ func TestItineraryExtentHoldsPositions(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestSpeedKmhAt(t *testing.T) {
-	b := NewBuilder(start, origin)
-	b.MoveTo(geo.Destination(origin, 90, 10000), 20)
-	it := b.Build()
-	got := SpeedKmhAt(it, start.Add(10*time.Minute), 10*time.Second)
-	if math.Abs(got-20) > 0.5 {
-		t.Errorf("speed = %.2f, want 20", got)
-	}
-	// Stationary phase.
-	if v := SpeedKmhAt(it, it.End().Add(time.Hour), 10*time.Second); v > 0.01 {
-		t.Errorf("post-end speed = %v", v)
-	}
-	// Default window.
-	if v := SpeedKmhAt(it, start.Add(10*time.Minute), 0); math.Abs(v-20) > 0.5 {
-		t.Errorf("default-window speed = %v", v)
 	}
 }
 

@@ -330,13 +330,10 @@ func (r *Registry) Compact() string {
 	return b.String()
 }
 
-// GetCounter, GetGauge, GetHistogram and the Func variants address the
+// GetCounter, GetHistogram and the Func variants address the
 // Default registry — the one-line way a plane registers its global
 // series at package init.
 func GetCounter(name string, labels ...Label) *Counter { return Default.Counter(name, labels...) }
-
-// GetGauge returns a gauge in the Default registry.
-func GetGauge(name string, labels ...Label) *Gauge { return Default.Gauge(name, labels...) }
 
 // GetHistogram returns a histogram in the Default registry.
 func GetHistogram(name string, labels ...Label) *Histogram { return Default.Histogram(name, labels...) }

@@ -22,12 +22,11 @@ import (
 type StoreIngester struct {
 	services map[trace.Vendor]*cloud.Service
 	ingested atomic.Uint64
-	dropped  atomic.Uint64
 }
 
 // NewStoreIngester builds the consumer over per-vendor destination
-// services. Reports for vendors without a service are counted as
-// dropped, not errors (mirroring the radio plane's unserved vendors).
+// services. Reports for vendors without a service are skipped, not
+// errors (mirroring the radio plane's unserved vendors).
 func NewStoreIngester(services map[trace.Vendor]*cloud.Service) *StoreIngester {
 	return &StoreIngester{services: services}
 }
@@ -50,7 +49,6 @@ func (si *StoreIngester) Consume(b Batch) error {
 	for v, rs := range perVendor {
 		svc, ok := si.services[v]
 		if !ok {
-			si.dropped.Add(uint64(len(rs)))
 			continue
 		}
 		svc.Restore(rs)
@@ -68,6 +66,3 @@ func (si *StoreIngester) Name() string { return "store" }
 // Ingested returns how many reports have been loaded so far. Safe to
 // read concurrently with the stream (tagserve's live stats).
 func (si *StoreIngester) Ingested() uint64 { return si.ingested.Load() }
-
-// Dropped returns how many reports had no destination service.
-func (si *StoreIngester) Dropped() uint64 { return si.dropped.Load() }

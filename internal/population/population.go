@@ -76,17 +76,8 @@ func (m *Map) Total() float64 { return m.total }
 // NumCells returns the number of populated cells.
 func (m *Map) NumCells() int { return len(m.order) }
 
-// Density returns the population of the cell containing p (zero outside
-// the raster).
-func (m *Map) Density(p geo.LatLon) float64 {
-	return m.cells[hexgrid.LatLonToCell(p, m.res)]
-}
-
 // DensityOfCell returns the population of a specific cell.
 func (m *Map) DensityOfCell(c hexgrid.Cell) float64 { return m.cells[c] }
-
-// ClassOf returns the density class of the cell containing p.
-func (m *Map) ClassOf(p geo.LatLon) DensityClass { return Classify(m.Density(p)) }
 
 // Cells returns the populated cells in deterministic order.
 func (m *Map) Cells() []hexgrid.Cell { return m.order }
@@ -214,20 +205,4 @@ func SyntheticCity(cfg CityConfig, rng *rand.Rand) *Map {
 		scaled[c] = w / sum * cfg.Population
 	}
 	return FromCells(cfg.Resolution, scaled)
-}
-
-// PercentileThresholds computes density-class cut points as the paper's
-// appendix does for visited hexagons: the 33rd and 66th percentiles of the
-// provided per-cell populations.
-func PercentileThresholds(pops []float64) (lowMax, mediumMax float64) {
-	if len(pops) == 0 {
-		return LowDensityMax, MediumDensityMax
-	}
-	sorted := append([]float64(nil), pops...)
-	sort.Float64s(sorted)
-	idx := func(p float64) float64 {
-		i := int(p / 100 * float64(len(sorted)-1))
-		return sorted[i]
-	}
-	return idx(33), idx(66)
 }

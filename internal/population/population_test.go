@@ -91,23 +91,6 @@ func TestDensityDecaysFromCenter(t *testing.T) {
 	}
 }
 
-func TestDensityLookupConsistency(t *testing.T) {
-	m := testCity(3)
-	for _, c := range m.Cells()[:10] {
-		center := hexgrid.CellToLatLon(c)
-		if m.Density(center) != m.DensityOfCell(c) {
-			t.Fatal("Density(center) disagrees with DensityOfCell")
-		}
-	}
-	// Far outside the city: zero.
-	if m.Density(geo.LatLon{Lat: -60, Lon: 0}) != 0 {
-		t.Error("antarctic density should be zero")
-	}
-	if m.ClassOf(geo.LatLon{Lat: -60, Lon: 0}) != DensityLow {
-		t.Error("unpopulated area should class Low")
-	}
-}
-
 func TestSampleHomeFollowsDensity(t *testing.T) {
 	m := testCity(5)
 	rng := rand.New(rand.NewSource(99))
@@ -158,25 +141,6 @@ func TestFromCellsValidation(t *testing.T) {
 		}
 	}()
 	FromCells(8, map[hexgrid.Cell]float64{hexgrid.LatLonToCell(abuDhabi, 7): 10})
-}
-
-func TestPercentileThresholds(t *testing.T) {
-	pops := make([]float64, 100)
-	for i := range pops {
-		pops[i] = float64(i + 1) // 1..100
-	}
-	low, med := PercentileThresholds(pops)
-	if low < 30 || low > 38 {
-		t.Errorf("33rd percentile = %v", low)
-	}
-	if med < 63 || med > 70 {
-		t.Errorf("66th percentile = %v", med)
-	}
-	// Empty input falls back to paper thresholds.
-	l, m := PercentileThresholds(nil)
-	if l != LowDensityMax || m != MediumDensityMax {
-		t.Error("empty thresholds should be the paper defaults")
-	}
 }
 
 func TestCityHasAllThreeClasses(t *testing.T) {

@@ -179,8 +179,8 @@ func buildCafeteria(cfg CafeteriaConfig) *cafeteriaWorld {
 	}
 
 	fleet := device.NewFleet(cfg.Location, devices)
-	airTag := tag.New("airtag-1", tag.AirTagProfile(), mobility.Stationary(cfg.Location), uint64(cfg.Seed)+1, start)
-	smartTag := tag.New("smarttag-1", tag.SmartTagProfile(), mobility.Stationary(cfg.Location), uint64(cfg.Seed)+2, start)
+	airTag := tag.New("airtag-1", tag.AirTagProfile(), mobility.Stationary(cfg.Location))
+	smartTag := tag.New("smarttag-1", tag.SmartTagProfile(), mobility.Stationary(cfg.Location))
 	apple := cloud.NewService(trace.VendorApple)
 	samsung := cloud.NewService(trace.VendorSamsung)
 	apple.Register(airTag.ID)

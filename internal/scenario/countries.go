@@ -56,21 +56,3 @@ func Table1Countries() []CountrySpec {
 
 // CampaignStart is when the paper's deployment began (March 2022).
 var CampaignStart = time.Date(2022, 3, 7, 0, 0, 0, 0, time.UTC)
-
-// TotalDays sums the stay lengths.
-func TotalDays(countries []CountrySpec) int {
-	n := 0
-	for _, c := range countries {
-		n += c.Days
-	}
-	return n
-}
-
-// TotalKm sums all distance quotas.
-func TotalKm(countries []CountrySpec) float64 {
-	var km float64
-	for _, c := range countries {
-		km += c.WalkKm + c.JogKm + c.TransitKm
-	}
-	return km
-}

@@ -405,8 +405,8 @@ func (j CountryJob) build() *countryWorld {
 	fleet := device.NewFleet(spec.Center, devices)
 
 	// Tags ride the vantage point.
-	airTag := tag.New("airtag-1", tag.AirTagProfile(), itin, uint64(cfg.Seed)+uint64(index)*10+1, start)
-	smartTag := tag.New("smarttag-1", tag.SmartTagProfile(), itin, uint64(cfg.Seed)+uint64(index)*10+2, start)
+	airTag := tag.New("airtag-1", tag.AirTagProfile(), itin)
+	smartTag := tag.New("smarttag-1", tag.SmartTagProfile(), itin)
 	apple := cloud.NewService(trace.VendorApple)
 	samsung := cloud.NewService(trace.VendorSamsung)
 	apple.Register(airTag.ID)

@@ -20,25 +20,16 @@ type Engine struct {
 	now        time.Time
 	queue      eventQueue
 	seq        uint64
-	seed       int64
 	streamBase StreamSeed // hash state of "<seed>/", root of every named stream
-	stopped    bool
-	events     uint64 // total events executed, for diagnostics
 }
 
 // NewEngine creates an engine with the virtual clock set to start.
 func NewEngine(start time.Time, seed int64) *Engine {
-	return &Engine{now: start, seed: seed, streamBase: streamBase(seed)}
+	return &Engine{now: start, streamBase: streamBase(seed)}
 }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Time { return e.now }
-
-// Seed returns the root seed.
-func (e *Engine) Seed() int64 { return e.seed }
-
-// EventsExecuted returns the number of events run so far.
-func (e *Engine) EventsExecuted() uint64 { return e.events }
 
 // RNG derives a deterministic random stream for a named entity. Streams
 // with the same (engine seed, name) are identical; distinct names are
@@ -58,9 +49,6 @@ type Timer struct {
 	cancelled bool
 	index     int // heap index, -1 once popped
 }
-
-// At returns the time the timer fires.
-func (t *Timer) At() time.Time { return t.at }
 
 // Cancel prevents the timer from firing. Cancelling an already-fired or
 // already-cancelled timer is a no-op.
@@ -129,10 +117,10 @@ func (e *Engine) EveryFixed(start time.Time, period time.Duration, fn func(now t
 }
 
 // Step executes the next pending event, advancing the clock to it. It
-// returns false when the queue is empty or the engine was stopped.
+// returns false when the queue is empty.
 func (e *Engine) Step() bool {
 	for {
-		if e.stopped || e.queue.Len() == 0 {
+		if e.queue.Len() == 0 {
 			return false
 		}
 		t := heap.Pop(&e.queue).(*Timer)
@@ -140,7 +128,6 @@ func (e *Engine) Step() bool {
 			continue
 		}
 		e.now = t.at
-		e.events++
 		t.fn()
 		return true
 	}
@@ -151,7 +138,7 @@ func (e *Engine) Step() bool {
 // otherwise at the last event executed.
 func (e *Engine) RunUntil(deadline time.Time) {
 	for {
-		if e.stopped || e.queue.Len() == 0 {
+		if e.queue.Len() == 0 {
 			break
 		}
 		next := e.queue[0].at
@@ -163,15 +150,10 @@ func (e *Engine) RunUntil(deadline time.Time) {
 	if e.now.Before(deadline) {
 		e.now = deadline
 	}
-	e.stopped = false
 }
 
 // RunFor runs the simulation for a virtual duration from the current time.
 func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now.Add(d)) }
-
-// Stop halts the current Run; pending events survive and a later Run
-// resumes them.
-func (e *Engine) Stop() { e.stopped = true }
 
 // Pending returns the number of queued (uncancelled at pop time) events.
 func (e *Engine) Pending() int { return e.queue.Len() }

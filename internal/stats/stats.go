@@ -156,9 +156,6 @@ func NewECDF(xs []float64) *ECDF {
 	return &ECDF{sorted: sorted}
 }
 
-// Len returns the number of samples.
-func (e *ECDF) Len() int { return len(e.sorted) }
-
 // Eval returns P(X <= x), or NaN when the ECDF is empty.
 func (e *ECDF) Eval(x float64) float64 {
 	if len(e.sorted) == 0 {
@@ -167,25 +164,6 @@ func (e *ECDF) Eval(x float64) float64 {
 	// Count of samples <= x via binary search.
 	i := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
 	return float64(i) / float64(len(e.sorted))
-}
-
-// Quantile returns the q-quantile (q in [0,1]) of the samples.
-func (e *ECDF) Quantile(q float64) float64 {
-	return percentileSorted(e.sorted, q*100)
-}
-
-// Points returns (x, P(X<=x)) pairs suitable for plotting, one per distinct
-// sample value.
-func (e *ECDF) Points() (xs, ps []float64) {
-	n := len(e.sorted)
-	for i := 0; i < n; i++ {
-		if i+1 < n && e.sorted[i+1] == e.sorted[i] {
-			continue
-		}
-		xs = append(xs, e.sorted[i])
-		ps = append(ps, float64(i+1)/float64(n))
-	}
-	return xs, ps
 }
 
 // TTestResult reports a two-sided Welch's t-test.
@@ -342,70 +320,4 @@ func betaCF(a, b, x float64) float64 {
 		}
 	}
 	return h
-}
-
-// Histogram bins samples into nbins equal-width bins over [min, max].
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-	Total    int
-}
-
-// NewHistogram builds a histogram. Samples outside [min, max] are clamped
-// into the first/last bin. nbins must be positive.
-func NewHistogram(xs []float64, min, max float64, nbins int) *Histogram {
-	h := &Histogram{Min: min, Max: max, Counts: make([]int, nbins)}
-	width := (max - min) / float64(nbins)
-	for _, x := range xs {
-		if math.IsNaN(x) {
-			continue
-		}
-		var bin int
-		if width > 0 {
-			bin = int((x - min) / width)
-		}
-		if bin < 0 {
-			bin = 0
-		}
-		if bin >= nbins {
-			bin = nbins - 1
-		}
-		h.Counts[bin]++
-		h.Total++
-	}
-	return h
-}
-
-// Fraction returns the share of samples in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.Total)
-}
-
-// BinCenter returns the center value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	width := (h.Max - h.Min) / float64(len(h.Counts))
-	return h.Min + (float64(i)+0.5)*width
-}
-
-// Pearson returns the Pearson correlation coefficient of two equal-length
-// samples, or NaN if lengths differ, n < 2, or either side is constant.
-func Pearson(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return nan
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return nan
-	}
-	return sxy / math.Sqrt(sxx*syy)
 }

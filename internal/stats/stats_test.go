@@ -174,16 +174,6 @@ func TestECDF(t *testing.T) {
 			t.Errorf("Eval(%v) = %v, want %v", c.x, got, c.want)
 		}
 	}
-	if got := e.Quantile(0.5); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("Quantile(0.5) = %v, want 2", got)
-	}
-	xs, ps := e.Points()
-	if len(xs) != 3 || len(ps) != 3 {
-		t.Fatalf("Points returned %d/%d entries", len(xs), len(ps))
-	}
-	if ps[len(ps)-1] != 1 {
-		t.Error("last ECDF point must be 1")
-	}
 	if !math.IsNaN(NewECDF(nil).Eval(1)) {
 		t.Error("empty ECDF Eval should be NaN")
 	}
@@ -330,48 +320,6 @@ func TestStars(t *testing.T) {
 		if got := Stars(c.p); got != c.want {
 			t.Errorf("Stars(%v) = %q, want %q", c.p, got, c.want)
 		}
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{0, 1, 2, 3, 4, 5, 9, 100, -5, math.NaN()}, 0, 10, 5)
-	if h.Total != 9 {
-		t.Errorf("Total = %d, want 9 (NaN dropped)", h.Total)
-	}
-	// -5 clamps into bin 0, 100 into bin 4.
-	if h.Counts[0] != 3 { // 0, 1, -5
-		t.Errorf("bin 0 = %d, want 3", h.Counts[0])
-	}
-	if h.Counts[4] != 2 { // 9, 100
-		t.Errorf("bin 4 = %d, want 2", h.Counts[4])
-	}
-	if got := h.BinCenter(0); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("BinCenter(0) = %v, want 1", got)
-	}
-	total := 0.0
-	for i := range h.Counts {
-		total += h.Fraction(i)
-	}
-	if !almostEqual(total, 1, 1e-12) {
-		t.Errorf("fractions sum to %v", total)
-	}
-}
-
-func TestPearson(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{2, 4, 6, 8, 10}
-	if got := Pearson(xs, ys); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("perfect correlation = %v", got)
-	}
-	neg := []float64{10, 8, 6, 4, 2}
-	if got := Pearson(xs, neg); !almostEqual(got, -1, 1e-12) {
-		t.Errorf("perfect anticorrelation = %v", got)
-	}
-	if !math.IsNaN(Pearson(xs, []float64{1, 1, 1, 1, 1})) {
-		t.Error("constant side should give NaN")
-	}
-	if !math.IsNaN(Pearson(xs, xs[:3])) {
-		t.Error("length mismatch should give NaN")
 	}
 }
 

@@ -166,32 +166,33 @@ func TestTagEpochBumps(t *testing.T) {
 	s.MinUpdateInterval = 2 * time.Minute
 	s.KeepHistory = true
 	id := "epoch-tag"
+	h := TagHash(id)
 
-	e0 := s.TagEpoch(id)
+	e0 := s.TagEpochAt(h)
 	at := base
 	s.Ingest(trace.Report{T: at, TagID: id, Vendor: trace.VendorApple})
-	e1 := s.TagEpoch(id)
+	e1 := s.TagEpochAt(h)
 	if e1 <= e0 {
 		t.Error("accepted ingest must bump the epoch")
 	}
 	// Within the rate cap: rejected, no state change, no bump.
 	s.Ingest(trace.Report{T: at.Add(time.Second), TagID: id, Vendor: trace.VendorApple})
-	if e := s.TagEpoch(id); e != e1 {
+	if e := s.TagEpochAt(h); e != e1 {
 		t.Errorf("rejected ingest moved the epoch %d -> %d", e1, e)
 	}
 	s.Restore([]trace.Report{{T: at.Add(time.Hour), TagID: id, Vendor: trace.VendorApple}})
-	e2 := s.TagEpoch(id)
+	e2 := s.TagEpochAt(h)
 	if e2 <= e1 {
 		t.Error("restore must bump the epoch")
 	}
 	s.Register("new-neighbor") // lands on the same (only) shard
-	if e := s.TagEpoch(id); e <= e2 {
+	if e := s.TagEpochAt(h); e <= e2 {
 		t.Error("registration must bump the shard epoch")
 	}
 	s.Register("new-neighbor") // idempotent: no state change
-	e3 := s.TagEpoch(id)
+	e3 := s.TagEpochAt(h)
 	s.Register("new-neighbor")
-	if e := s.TagEpoch(id); e != e3 {
+	if e := s.TagEpochAt(h); e != e3 {
 		t.Error("re-registration is a no-op and must not bump the epoch")
 	}
 }

@@ -438,18 +438,12 @@ func (s *Store) LastSeen(tagID string) (pos geo.LatLon, at time.Time, ok bool) {
 	return pos, at, false
 }
 
-// TagEpoch returns the current epoch of the tag's shard: a counter
-// bumped on every state change (accepted ingest, restore, or
-// registration) landing there. Caches key their entries on it — equal
-// epochs guarantee nothing about the tag changed in between. Epochs are
-// per shard, so an unrelated colliding tag's write also invalidates
-// (conservative, never stale).
-func (s *Store) TagEpoch(tagID string) uint64 {
-	return s.shardFor(tagID).epoch.Load()
-}
-
-// TagEpochAt is TagEpoch for a tag hash precomputed with TagHash — the
-// one-hash-per-probe path of the hot-tag cache.
+// TagEpochAt returns the current epoch of the shard holding the tag
+// whose TagHash is h: a counter bumped on every state change (accepted
+// ingest, restore, or registration) landing there. Caches key their
+// entries on it — equal epochs guarantee nothing about the tag changed
+// in between. Epochs are per shard, so an unrelated colliding tag's
+// write also invalidates (conservative, never stale).
 func (s *Store) TagEpochAt(h uint64) uint64 {
 	return s.shards[h&s.mask].epoch.Load()
 }

@@ -1,12 +1,11 @@
 // Package tag models the location tags themselves: vendor profiles
-// (advertising cadence, radio, identity rotation), beacon generation, and
+// (advertising cadence, radio, identity rotation), beacon accounting, and
 // the battery model behind the paper's observation that the SmartTag's
 // more aggressive radio costs ~20% more battery while both tags still last
 // about a year.
 package tag
 
 import (
-	"fmt"
 	"time"
 
 	"tagsim/internal/ble"
@@ -26,9 +25,8 @@ type Profile struct {
 	TxPowerDBm float64
 	// Channel is the calibrated propagation model for this tag's radio.
 	Channel ble.Channel
-	// RotationNearOwner / RotationSeparated are the pseudonym rotation
-	// periods in the two regimes.
-	RotationNearOwner time.Duration
+	// RotationSeparated is the pseudonym rotation period while separated
+	// from the owner.
 	RotationSeparated time.Duration
 	// Battery parameters: cell capacity and current draws.
 	BatteryCapacityMAh float64
@@ -37,25 +35,20 @@ type Profile struct {
 	// BeaconChargeUC is the charge per transmitted beacon in
 	// microcoulombs, a function of TX power and beacon air time.
 	BeaconChargeUC float64
-	// UWB marks Ultra Wideband support (AirTag, SmartTag+).
-	UWB bool
 }
 
 // AirTagProfile returns the AirTag model: 2-second advertising, moderate
-// TX power, 15-minute rotation near the owner and 24-hour when separated,
-// on a CR2032 cell.
+// TX power, 24-hour rotation when separated, on a CR2032 cell.
 func AirTagProfile() Profile {
 	return Profile{
 		Vendor:             trace.VendorApple,
 		AdvInterval:        2 * time.Second,
 		TxPowerDBm:         4,
 		Channel:            ble.DefaultChannel(ble.AirTagPathLoss),
-		RotationNearOwner:  tagkeys.AirTagNearOwnerRotation,
 		RotationSeparated:  tagkeys.AirTagSeparatedRotation,
 		BatteryCapacityMAh: 220, // CR2032
 		IdleCurrentUA:      12,
 		BeaconChargeUC:     26,
-		UWB:                true,
 	}
 }
 
@@ -68,12 +61,10 @@ func SmartTagProfile() Profile {
 		AdvInterval:        1500 * time.Millisecond,
 		TxPowerDBm:         8,
 		Channel:            ble.DefaultChannel(ble.SmartTagPathLoss),
-		RotationNearOwner:  tagkeys.SmartTagRotation,
 		RotationSeparated:  tagkeys.SmartTagRotation,
 		BatteryCapacityMAh: 220, // CR2032
 		IdleCurrentUA:      12,
 		BeaconChargeUC:     27,
-		UWB:                false,
 	}
 }
 
@@ -101,33 +92,17 @@ type Tag struct {
 	Profile Profile
 	// Mobility is the tag's true movement (it rides the vantage point).
 	Mobility mobility.Model
-	// Separated reports whether the tag is away from its owner; the
-	// experiments always run separated (the paired devices stay home).
-	Separated bool
-	// Name is the user-visible tag name (advertised by SmartTags).
-	Name string
 
-	chain          *tagkeys.Chain
 	beaconsEmitted uint64
 }
 
-// New creates a tag with a deterministic identity chain derived from seed.
-func New(id string, profile Profile, m mobility.Model, seed uint64, epoch time.Time) *Tag {
-	period := profile.RotationSeparated
-	t := &Tag{ID: id, Profile: profile, Mobility: m, Separated: true, Name: id}
-	t.chain = tagkeys.New(tagkeys.SecretFromSeed(seed), epoch, period)
-	return t
+// New creates a tag that moves with m.
+func New(id string, profile Profile, m mobility.Model) *Tag {
+	return &Tag{ID: id, Profile: profile, Mobility: m}
 }
-
-// Chain exposes the identity chain (the vendor cloud needs it to resolve
-// pseudonyms).
-func (t *Tag) Chain() *tagkeys.Chain { return t.chain }
 
 // Pos returns the tag's true position at time now.
 func (t *Tag) Pos(now time.Time) geo.LatLon { return t.Mobility.Pos(now) }
-
-// Identity returns the pseudonymous identity in force at now.
-func (t *Tag) Identity(now time.Time) tagkeys.Identity { return t.chain.IdentityAt(now) }
 
 // BeaconsEmitted returns how many beacons the tag has generated (for
 // battery accounting in long runs).
@@ -137,33 +112,6 @@ func (t *Tag) BeaconsEmitted() uint64 { return t.beaconsEmitted }
 // simulator calls this from the encounter plane, which models beacon
 // emission statistically rather than as one event per beacon.
 func (t *Tag) CountBeacons(n uint64) { t.beaconsEmitted += n }
-
-// AdvData builds the tag's current advertising PDU bytes — the exact
-// frames a scanner would capture over the air.
-func (t *Tag) AdvData(now time.Time) ([]byte, error) {
-	id := t.Identity(now)
-	switch t.Profile.Vendor {
-	case trace.VendorApple:
-		status := byte(ble.FindMyBatteryFull)
-		if !t.Separated {
-			status |= ble.FindMyStatusMaintained
-		}
-		frame := ble.FindMy{Status: status, PublicKey: id.Key, KeyBits: byte(id.Period & 0x3)}
-		return ble.BuildAirTagAdv(id.Address, frame)
-	case trace.VendorSamsung:
-		frame := ble.SmartTag{
-			Version:   1,
-			PrivacyID: id.PrivacyID(),
-			Aging:     uint32(id.Period) & 0xFFFFFF,
-		}
-		if t.Profile.UWB {
-			frame.Flags |= ble.SmartTagFlagUWB
-		}
-		return ble.BuildSmartTagAdv(id.Address, frame, t.Name)
-	default:
-		return nil, fmt.Errorf("tag: vendor %v has no advertising format", t.Profile.Vendor)
-	}
-}
 
 // ExpectedBeacons returns how many beacons the tag emits in a window — the
 // statistical emission model used by the encounter plane.

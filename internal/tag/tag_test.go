@@ -7,6 +7,7 @@ import (
 	"tagsim/internal/ble"
 	"tagsim/internal/geo"
 	"tagsim/internal/mobility"
+	"tagsim/internal/tagkeys"
 	"tagsim/internal/trace"
 )
 
@@ -16,11 +17,11 @@ var (
 )
 
 func newAirTag() *Tag {
-	return New("airtag-1", AirTagProfile(), mobility.Stationary(origin), 1, epoch)
+	return New("airtag-1", AirTagProfile(), mobility.Stationary(origin))
 }
 
 func newSmartTag() *Tag {
-	return New("smarttag-1", SmartTagProfile(), mobility.Stationary(origin), 2, epoch)
+	return New("smarttag-1", SmartTagProfile(), mobility.Stationary(origin))
 }
 
 func TestProfilesVendors(t *testing.T) {
@@ -60,83 +61,34 @@ func TestBatteryLifeDegenerate(t *testing.T) {
 	}
 }
 
-func TestAdvDataAirTagDecodes(t *testing.T) {
-	tg := newAirTag()
-	raw, err := tg.AdvData(epoch.Add(time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := ble.NewPacket(raw, ble.LayerTypeAdvPDU, ble.Default)
-	if e := p.ErrorLayer(); e != nil {
-		t.Fatalf("decode: %v", e)
-	}
-	fm, ok := p.Layer(ble.LayerTypeFindMy).(*ble.FindMy)
-	if !ok {
-		t.Fatal("no FindMy layer")
-	}
-	if fm.Maintained() {
-		t.Error("separated tag must not advertise maintained")
-	}
-	adv := p.Layer(ble.LayerTypeAdvPDU).(*ble.AdvPDU)
-	if adv.Address != tg.Identity(epoch.Add(time.Hour)).Address {
-		t.Error("advertised address does not match identity")
-	}
-	if !ble.IsAirTagPrefix(raw[8:]) {
-		t.Error("AirTag adv missing the paper's 1EFF004C12 signature")
-	}
-}
-
-func TestAdvDataSmartTagDecodes(t *testing.T) {
-	tg := newSmartTag()
-	raw, err := tg.AdvData(epoch.Add(2 * time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := ble.NewPacket(raw, ble.LayerTypeAdvPDU, ble.Default)
-	st, ok := p.Layer(ble.LayerTypeSmartTag).(*ble.SmartTag)
-	if !ok {
-		t.Fatal("no SmartTag layer")
-	}
-	id := tg.Identity(epoch.Add(2 * time.Hour))
-	if st.PrivacyID != id.PrivacyID() {
-		t.Error("privacy ID mismatch")
-	}
-	name, ok := p.Layer(ble.LayerTypeADStructures).(*ble.ADStructures).LocalName()
-	if !ok || name != "smarttag-1" {
-		t.Errorf("local name = %q", name)
-	}
-}
-
-func TestAdvDataUnknownVendor(t *testing.T) {
-	p := AirTagProfile()
-	p.Vendor = trace.VendorOther
-	tg := New("x", p, mobility.Stationary(origin), 3, epoch)
-	if _, err := tg.AdvData(epoch); err == nil {
-		t.Error("unknown vendor must error")
-	}
+// chainFor builds the pseudonym chain a tag with profile p rotates
+// through while separated from its owner, as the anti-stalking scenario
+// does.
+func chainFor(p Profile, seed uint64) *tagkeys.Chain {
+	return tagkeys.New(tagkeys.SecretFromSeed(seed), epoch, p.RotationSeparated)
 }
 
 func TestIdentityRotation(t *testing.T) {
-	tg := newAirTag() // separated: 24 h rotation
-	id0 := tg.Identity(epoch)
-	if tg.Identity(epoch.Add(23*time.Hour)) != id0 {
+	air := chainFor(AirTagProfile(), 1) // separated: 24 h rotation
+	id0 := air.IdentityAt(epoch)
+	if air.IdentityAt(epoch.Add(23*time.Hour)) != id0 {
 		t.Error("identity changed within the 24 h period")
 	}
-	if tg.Identity(epoch.Add(25*time.Hour)) == id0 {
+	if air.IdentityAt(epoch.Add(25*time.Hour)) == id0 {
 		t.Error("identity failed to rotate after 24 h")
 	}
 
-	st := newSmartTag() // 15 min rotation
-	if st.Identity(epoch.Add(20*time.Minute)) == st.Identity(epoch) {
+	smart := chainFor(SmartTagProfile(), 2) // 15 min rotation
+	if smart.IdentityAt(epoch.Add(20*time.Minute)) == smart.IdentityAt(epoch) {
 		t.Error("SmartTag identity failed to rotate after 15 min")
 	}
 }
 
 func TestAdvAddressRotatesOverDays(t *testing.T) {
-	tg := newAirTag()
+	air := chainFor(AirTagProfile(), 1)
 	seen := map[ble.AdvAddress]bool{}
 	for d := 0; d < 10; d++ {
-		seen[tg.Identity(epoch.Add(time.Duration(d)*24*time.Hour+time.Hour)).Address] = true
+		seen[air.IdentityAt(epoch.Add(time.Duration(d)*24*time.Hour+time.Hour)).Address] = true
 	}
 	if len(seen) != 10 {
 		t.Errorf("10 days produced %d distinct addresses, want 10", len(seen))
@@ -180,22 +132,11 @@ func TestPosFollowsMobility(t *testing.T) {
 	b := mobility.NewBuilder(epoch, origin)
 	b.MoveTo(dest, 6)
 	it := b.Build()
-	tg := New("t", AirTagProfile(), it, 4, epoch)
+	tg := New("t", AirTagProfile(), it)
 	if tg.Pos(epoch) != origin {
 		t.Error("tag should start at origin")
 	}
 	if geo.Distance(tg.Pos(epoch.Add(time.Hour)), dest) > 1 {
 		t.Error("tag should end at destination")
-	}
-}
-
-func BenchmarkAdvDataAirTag(b *testing.B) {
-	tg := newAirTag()
-	at := epoch.Add(time.Hour)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tg.AdvData(at); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

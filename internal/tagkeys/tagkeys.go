@@ -1,14 +1,13 @@
 // Package tagkeys implements the rolling pseudonym schedule location tags
-// use to stay private: each tag derives a fresh identity (advertising
-// address and payload key material) every rotation period, and only a
-// party holding the master secret — the vendor cloud acting for the owner —
-// can map an observed pseudonym back to the tag.
+// use to stay private: each tag derives a fresh advertising address every
+// rotation period from a master secret that only the tag and its owner's
+// vendor cloud hold.
 //
 // Apple derives AirTag pseudonyms from a P-224 key ratchet (SKN/SKS); this
-// package substitutes an HMAC-SHA256 ratchet, which preserves the two
-// properties the study depends on: pseudonyms rotate on schedule (defeating
-// third-party scanners, as the paper notes for Tracker Detect / AirGuard)
-// and the owner's service can still resolve them.
+// package substitutes an HMAC-SHA256 ratchet, which preserves the property
+// the anti-stalking study depends on: pseudonyms rotate on schedule,
+// defeating third-party scanners that group beacons by address, as the
+// paper notes for Tracker Detect / AirGuard.
 package tagkeys
 
 import (
@@ -20,11 +19,11 @@ import (
 	"tagsim/internal/ble"
 )
 
-// Rotation periods used by the two ecosystems. Public measurements put the
-// AirTag's separated-mode address rotation at roughly 24 h (15 min while
-// with the owner) and the SmartTag's privacy ID rotation at 15 min.
+// Rotation periods used by the two ecosystems while a tag is away from
+// its owner. Public measurements put the AirTag's separated-mode address
+// rotation at roughly 24 h and the SmartTag's privacy ID rotation at
+// 15 min.
 const (
-	AirTagNearOwnerRotation = 15 * time.Minute
 	AirTagSeparatedRotation = 24 * time.Hour
 	SmartTagRotation        = 15 * time.Minute
 )
@@ -52,9 +51,6 @@ func SecretFromSeed(seed uint64) [32]byte {
 	return sha256.Sum256(buf[:])
 }
 
-// Period returns the rotation period.
-func (c *Chain) Period() time.Duration { return c.period }
-
 // PeriodIndex returns the rotation counter at time t. Times before the
 // epoch map to period 0.
 func (c *Chain) PeriodIndex(t time.Time) uint64 {
@@ -79,10 +75,6 @@ func (c *Chain) material(period uint64) [32]byte {
 type Identity struct {
 	Period  uint64
 	Address ble.AdvAddress
-	// Key is the payload key material: the FindMy public-key bytes for
-	// AirTags, of which the first SmartTagIDLen bytes serve as the
-	// SmartTag privacy ID.
-	Key [ble.FindMyKeyLen]byte
 }
 
 // IdentityAt returns the identity in force at time t.
@@ -93,59 +85,8 @@ func (c *Chain) IdentityAt(t time.Time) Identity {
 // IdentityFor returns the identity for an explicit period counter.
 func (c *Chain) IdentityFor(period uint64) Identity {
 	m := c.material(period)
-	var id Identity
-	id.Period = period
+	id := Identity{Period: period}
 	copy(id.Address[:], m[:6])
 	id.Address[0] |= 0xC0 // random static address prefix
-	// Second derivation step for the payload key so address bytes do not
-	// leak key bytes.
-	mac := hmac.New(sha256.New, c.secret[:])
-	mac.Write([]byte("payload"))
-	mac.Write(m[:])
-	sum := mac.Sum(nil)
-	copy(id.Key[:], sum[:ble.FindMyKeyLen])
 	return id
 }
-
-// PrivacyID returns the SmartTag rolling identifier for the identity.
-func (id Identity) PrivacyID() [ble.SmartTagIDLen]byte {
-	var p [ble.SmartTagIDLen]byte
-	copy(p[:], id.Key[:ble.SmartTagIDLen])
-	return p
-}
-
-// NextRotation returns the instant the identity in force at t expires.
-func (c *Chain) NextRotation(t time.Time) time.Time {
-	idx := c.PeriodIndex(t)
-	return c.epoch.Add(time.Duration(idx+1) * c.period)
-}
-
-// Resolver maps observed pseudonyms back to tag IDs, the owner-side
-// operation the vendor clouds perform when ingesting crowd reports.
-type Resolver struct {
-	byAddress map[ble.AdvAddress]string
-}
-
-// NewResolver precomputes the pseudonyms of each tag's chain over a time
-// window, mimicking the server-side rolling-key lookup tables.
-func NewResolver(chains map[string]*Chain, from, to time.Time) *Resolver {
-	r := &Resolver{byAddress: make(map[ble.AdvAddress]string)}
-	for tagID, chain := range chains {
-		first := chain.PeriodIndex(from)
-		last := chain.PeriodIndex(to)
-		for p := first; p <= last; p++ {
-			r.byAddress[chain.IdentityFor(p).Address] = tagID
-		}
-	}
-	return r
-}
-
-// Resolve returns the tag that owns a pseudonymous address, if known.
-func (r *Resolver) Resolve(addr ble.AdvAddress) (string, bool) {
-	id, ok := r.byAddress[addr]
-	return id, ok
-}
-
-// Size returns the number of precomputed pseudonyms (for table-size
-// accounting).
-func (r *Resolver) Size() int { return len(r.byAddress) }

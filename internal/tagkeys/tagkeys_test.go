@@ -42,9 +42,6 @@ func TestRotationSchedule(t *testing.T) {
 	if id0.Address == id1.Address {
 		t.Error("address must rotate")
 	}
-	if id0.Key == id1.Key {
-		t.Error("key must rotate")
-	}
 }
 
 func TestPeriodIndex(t *testing.T) {
@@ -66,18 +63,6 @@ func TestPeriodIndex(t *testing.T) {
 	}
 }
 
-func TestNextRotation(t *testing.T) {
-	c := testChain(15 * time.Minute)
-	at := epoch.Add(7 * time.Minute)
-	next := c.NextRotation(at)
-	if !next.Equal(epoch.Add(15 * time.Minute)) {
-		t.Errorf("NextRotation = %v", next)
-	}
-	if c.IdentityAt(next) == c.IdentityAt(at) {
-		t.Error("identity must differ after NextRotation")
-	}
-}
-
 func TestAddressesAreRandomStatic(t *testing.T) {
 	c := testChain(SmartTagRotation)
 	for p := uint64(0); p < 100; p++ {
@@ -90,66 +75,16 @@ func TestAddressesAreRandomStatic(t *testing.T) {
 func TestPseudonymUniqueness(t *testing.T) {
 	// Across many tags and periods, pseudonyms must be distinct (no
 	// ratchet collisions at simulation scale).
-	seen := make(map[string]bool)
+	seen := make(map[[6]byte]bool)
 	for seed := uint64(0); seed < 50; seed++ {
 		c := New(SecretFromSeed(seed), epoch, SmartTagRotation)
 		for p := uint64(0); p < 96; p++ { // one day of 15-min periods
-			id := c.IdentityFor(p)
-			k := string(id.Address[:]) + string(id.Key[:])
+			k := c.IdentityFor(p).Address
 			if seen[k] {
 				t.Fatalf("pseudonym collision at seed %d period %d", seed, p)
 			}
 			seen[k] = true
 		}
-	}
-}
-
-func TestAddressDoesNotLeakKey(t *testing.T) {
-	c := testChain(SmartTagRotation)
-	id := c.IdentityFor(5)
-	for i := 0; i < 6; i++ {
-		if id.Address[i] != id.Key[i] {
-			return
-		}
-	}
-	t.Error("address bytes equal leading key bytes; payload derivation missing")
-}
-
-func TestPrivacyID(t *testing.T) {
-	c := testChain(SmartTagRotation)
-	id := c.IdentityFor(3)
-	p := id.PrivacyID()
-	for i := range p {
-		if p[i] != id.Key[i] {
-			t.Fatal("privacy ID must be the key prefix")
-		}
-	}
-}
-
-func TestResolver(t *testing.T) {
-	chains := map[string]*Chain{
-		"airtag-1":   New(SecretFromSeed(10), epoch, AirTagSeparatedRotation),
-		"smarttag-1": New(SecretFromSeed(11), epoch, SmartTagRotation),
-	}
-	from, to := epoch, epoch.Add(24*time.Hour)
-	r := NewResolver(chains, from, to)
-
-	// One day: AirTag separated mode has 2 pseudonyms (period 0 and 1),
-	// SmartTag has 97.
-	if r.Size() < 90 {
-		t.Errorf("resolver has %d pseudonyms", r.Size())
-	}
-	at := epoch.Add(13 * time.Hour)
-	for tagID, chain := range chains {
-		got, ok := r.Resolve(chain.IdentityAt(at).Address)
-		if !ok || got != tagID {
-			t.Errorf("Resolve(%s@%v) = %q, %v", tagID, at, got, ok)
-		}
-	}
-	// Unknown address.
-	other := New(SecretFromSeed(99), epoch, SmartTagRotation)
-	if _, ok := r.Resolve(other.IdentityAt(at).Address); ok {
-		t.Error("foreign pseudonym must not resolve")
 	}
 }
 
@@ -168,20 +103,5 @@ func BenchmarkIdentityAt(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.IdentityAt(at)
-	}
-}
-
-func BenchmarkResolve(b *testing.B) {
-	chains := make(map[string]*Chain, 100)
-	for i := 0; i < 100; i++ {
-		chains[string(rune('a'+i%26))+string(rune('0'+i/26))] = New(SecretFromSeed(uint64(i)), epoch, SmartTagRotation)
-	}
-	r := NewResolver(chains, epoch, epoch.Add(24*time.Hour))
-	addr := chains["a0"].IdentityAt(epoch.Add(time.Hour)).Address
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := r.Resolve(addr); !ok {
-			b.Fatal("lost pseudonym")
-		}
 	}
 }

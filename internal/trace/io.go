@@ -40,7 +40,7 @@ func ReadJSONL[T any](r io.Reader) ([]T, error) {
 }
 
 // Timestamped is implemented by every record type that carries a primary
-// timestamp, enabling generic sorting and windowing.
+// timestamp, enabling generic sorting and merging.
 type Timestamped interface {
 	Timestamp() time.Time
 }
@@ -66,18 +66,6 @@ func SortByTime[T Timestamped](records []T) {
 	sort.SliceStable(records, func(i, j int) bool {
 		return records[i].Timestamp().Before(records[j].Timestamp())
 	})
-}
-
-// Window returns the subslice of time-sorted records with timestamps in
-// [from, to). The input must already be sorted by time.
-func Window[T Timestamped](records []T, from, to time.Time) []T {
-	lo := sort.Search(len(records), func(i int) bool {
-		return !records[i].Timestamp().Before(from)
-	})
-	hi := sort.Search(len(records), func(i int) bool {
-		return !records[i].Timestamp().Before(to)
-	})
-	return records[lo:hi]
 }
 
 // Merge merges two time-sorted slices into one time-sorted slice.

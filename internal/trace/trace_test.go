@@ -101,7 +101,7 @@ func TestIsNow(t *testing.T) {
 	}
 }
 
-func TestSortAndWindow(t *testing.T) {
+func TestSortByTime(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	var records []GroundTruth
 	for i := 0; i < 100; i++ {
@@ -112,23 +112,6 @@ func TestSortAndWindow(t *testing.T) {
 		if records[i].T.Before(records[i-1].T) {
 			t.Fatal("not sorted")
 		}
-	}
-	from, to := t0.Add(10*time.Minute), t0.Add(20*time.Minute)
-	win := Window(records, from, to)
-	for _, r := range win {
-		if r.T.Before(from) || !r.T.Before(to) {
-			t.Fatalf("record %v outside window", r.T)
-		}
-	}
-	// Every excluded record must be outside.
-	count := 0
-	for _, r := range records {
-		if !r.T.Before(from) && r.T.Before(to) {
-			count++
-		}
-	}
-	if count != len(win) {
-		t.Fatalf("window has %d records, expected %d", len(win), count)
 	}
 }
 

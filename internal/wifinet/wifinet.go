@@ -131,18 +131,3 @@ func (m *Monitor) HourlyCounts() []trace.DeviceCount {
 	}
 	return out
 }
-
-// CountAt returns the vendor counts for the hour containing t.
-func (m *Monitor) CountAt(t time.Time) trace.DeviceCount {
-	hour := t.UTC().Truncate(time.Hour)
-	b, ok := m.hours[hour]
-	if !ok {
-		return trace.DeviceCount{T: hour}
-	}
-	return trace.DeviceCount{
-		T:       hour,
-		Apple:   len(b.byVendor[trace.VendorApple]),
-		Samsung: len(b.byVendor[trace.VendorSamsung]),
-		Other:   len(b.byVendor[trace.VendorOther]),
-	}
-}

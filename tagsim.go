@@ -410,20 +410,9 @@ var (
 	SmartTagProfile = tag.SmartTagProfile
 )
 
-// BLE plane: the over-the-air formats (gopacket-style codec).
-type (
-	// Packet is a decoded BLE advertising frame.
-	Packet = ble.Packet
-	// AdvAddress is a BLE advertiser address.
-	AdvAddress = ble.AdvAddress
-)
-
-var (
-	// NewPacket decodes raw advertising bytes.
-	NewPacket = ble.NewPacket
-	// IsAirTagPrefix checks for the paper's 1EFF004C12 signature.
-	IsAirTagPrefix = ble.IsAirTagPrefix
-)
+// AdvAddress is a BLE advertiser address: what the anti-stalking
+// detectors group beacons by, and what pseudonym rotation changes.
+type AdvAddress = ble.AdvAddress
 
 // Anti-stalking detection (the paper's Section 2 countermeasures).
 type (

@@ -34,9 +34,6 @@ func TestFacadeBeaconPipeline(t *testing.T) {
 	if tagsim.AirTagProfile().AdvInterval <= tagsim.SmartTagProfile().AdvInterval {
 		t.Error("SmartTag must advertise faster")
 	}
-	if !tagsim.IsAirTagPrefix([]byte{0x1E, 0xFF, 0x4C, 0x00, 0x12, 0x00}) {
-		t.Error("prefix check broken through facade")
-	}
 }
 
 func TestFacadeMiniWildAnalysis(t *testing.T) {
