@@ -12,11 +12,12 @@
 // output-preserving). -replicates N > 1 runs the wild campaign from N
 // derived seeds and writes each replicate's traces under DIR/repNNN/.
 // -reportlog additionally streams every cloud-accepted report to
-// DIR/reports.col in the binary columnar format as the simulation runs
-// (see internal/pipeline; tagsim.ReadReportsColumnar reads it back);
-// -truthlog does the same for ground-truth GPS fixes into
-// DIR/truth.col (columnar, time-sorted within each country;
-// pipeline.TruthReader reads it back). -metrics-every D logs the
+// DIR/reports.col (TAGRPT1) as the simulation runs, and -truthlog every
+// ground-truth GPS fix to DIR/truth.col (TAGGTC2, time-sorted within
+// each country). Both are internal/pipeline's columnar logs: the magic,
+// then frames of 4096 rows, no index or trailer;
+// tagsim.ReadReportsColumnar and pipeline.ReadAllTruth read them back
+// front to back. -metrics-every D logs the
 // process-wide metrics snapshot (scan ticks, region scan latency,
 // truth-log bytes, pipeline throughput, storage-tier activity — WAL
 // records/fsyncs, flushes, compactions — the obs.Default registry) to
@@ -165,10 +166,10 @@ func runWild(seed int64, scale, fleetScale float64, workers, scanWorkers, replic
 			files = append(files, f)
 		}
 		if reportLog {
-			addSink("reports.col", func(f *os.File) pipeline.Consumer { return pipeline.NewReportSink(f, 0) })
+			addSink("reports.col", func(f *os.File) pipeline.Consumer { return pipeline.NewReportSink(f) })
 		}
 		if truthLog {
-			addSink("truth.col", func(f *os.File) pipeline.Consumer { return pipeline.NewTruthSink(f, 0) })
+			addSink("truth.col", func(f *os.File) pipeline.Consumer { return pipeline.NewTruthSink(f) })
 		}
 		res, err := tagsim.CollectWild(cfg, sinks...)
 		if err != nil {

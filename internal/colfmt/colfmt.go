@@ -1,8 +1,8 @@
 // Package colfmt is the shared length-prefixed columnar framing every
 // on-disk format in this repo speaks: the pipeline's report and
-// ground-truth logs (TAGRPT1/TAGGTC1), and the storage engine's WAL and
-// immutable segments (TAGWAL1/TAGSEG1). One codec, four formats — the
-// framing mechanics (little-endian scalar appends, bounds-checked
+// ground-truth logs (TAGRPT1/TAGGTC2), and the storage engine's WAL and
+// immutable segments (TAGWAL1/TAGSEG1). One codec under four formats —
+// the framing mechanics (little-endian scalar appends, bounds-checked
 // decoding, length-prefixed frames with an optional CRC32-C, the index
 // sentinel, and the fixed-size seekable trailer) live here so a new
 // format is a payload layout, not a re-derivation of the file plumbing.
@@ -17,14 +17,16 @@
 // decoding into garbage. The pipeline logs predate the CRC and keep the
 // bare flavor for byte-compatibility.
 //
-// Seekable formats end with an index block and a trailer:
+// A seekable format ends with an index block and a trailer; TAGSEG1 is
+// the only one (the pipeline logs and the WAL are read front to back):
 //
 //	indexBlock := u32 0xFFFFFFFF | frame-or-crcFrame
 //	trailer    := u64 indexOffset | magic (8 bytes)
 //
 // 0xFFFFFFFF can never be a data frame's length (it exceeds
-// MaxFrameBytes), so streaming readers stop at the sentinel while
-// seekable readers jump straight to the index via the trailer.
+// MaxFrameBytes), so the frame readers report it as ErrIndexMark, and a
+// seekable reader jumps straight to the index via the trailer. A format
+// without an index treats ErrIndexMark as corruption.
 package colfmt
 
 import (

@@ -170,7 +170,7 @@ func TestStreamingStoreAndDumpEquivalence(t *testing.T) {
 		rec := &reportRecorder{}
 		jobs := scenario.PlanWild(cfg)
 		pl := pipeline.New(len(jobs), pipeline.Config{},
-			pipeline.NewStoreIngester(services), pipeline.NewReportSink(&dump, 256), rec)
+			pipeline.NewStoreIngester(services), pipeline.NewReportSink(&dump), rec)
 		cfg.Stream = pl
 		before := delivered.Value()
 		scenario.RunWild(cfg)

@@ -1,7 +1,8 @@
 // Package obs is the observability core every plane reports through:
-// allocation-free, always-on counters, gauges, and lock-free
-// log-bucketed latency histograms, plus a registry (registry.go) that
-// renders one snapshot of everything as Prometheus text and JSON.
+// allocation-free, always-on counters and lock-free log-bucketed
+// latency histograms, plus a registry (registry.go) that also collects
+// func-backed counters and gauges on scrape and renders one snapshot of
+// everything as Prometheus text and JSON.
 //
 // Design constraints, in order:
 //
@@ -66,31 +67,6 @@ func (c *Counter) Add(n uint64) {
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is an atomic instantaneous value. The zero value is ready to
-// use.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v int64) {
-	if disabled.Load() {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add adds n (which may be negative).
-func (g *Gauge) Add(n int64) {
-	if disabled.Load() {
-		return
-	}
-	g.v.Add(n)
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // HistBuckets is the fixed bucket count of every Histogram: bucket 0
 // holds zero-duration observations and bucket i (i >= 1) holds

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,16 +17,21 @@ import (
 
 func TestCounterAndGauge(t *testing.T) {
 	var c Counter
-	var g Gauge
 	c.Inc()
 	c.Add(4)
 	if c.Value() != 5 {
 		t.Fatalf("counter = %d, want 5", c.Value())
 	}
-	g.Set(7)
-	g.Add(-3)
-	if g.Value() != 4 {
-		t.Fatalf("gauge = %d, want 4", g.Value())
+	// A gauge is collected on scrape, so it moves both ways.
+	r := NewRegistry()
+	g := 7.0
+	r.GaugeFunc("g", func() float64 { return g })
+	if out := r.Compact(); out != "g=7" {
+		t.Fatalf("gauge render = %q, want g=7", out)
+	}
+	g -= 3
+	if out := r.Compact(); out != "g=4" {
+		t.Fatalf("gauge render = %q, want g=4", out)
 	}
 }
 
@@ -35,14 +41,11 @@ func TestSetEnabledGatesUpdates(t *testing.T) {
 		t.Fatal("Enabled() after SetEnabled(false)")
 	}
 	var c Counter
-	var g Gauge
 	var h Histogram
 	c.Inc()
-	g.Set(9)
 	h.Observe(time.Second)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
-		t.Fatalf("disabled metrics moved: counter=%d gauge=%d hist=%d",
-			c.Value(), g.Value(), h.Count())
+	if c.Value() != 0 || h.Count() != 0 {
+		t.Fatalf("disabled metrics moved: counter=%d hist=%d", c.Value(), h.Count())
 	}
 	SetEnabled(true)
 	c.Inc()
@@ -236,13 +239,13 @@ func TestRegistryDedupeAndKindMismatch(t *testing.T) {
 			t.Fatal("kind mismatch did not panic")
 		}
 	}()
-	r.Gauge("x_total", L("k", "v"))
+	r.GaugeFunc("x_total", func() float64 { return 0 }, L("k", "v"))
 }
 
 func TestPrometheusRender(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("requests_total", L("endpoint", "lastknown"), L("code", "2xx")).Add(7)
-	r.Gauge("queue_depth").Set(3)
+	r.GaugeFunc("queue_depth", func() float64 { return 3 })
 	r.GaugeFunc("tags", func() float64 { return 42 })
 	r.CounterFunc("epoch_total", func() uint64 { return 9 })
 	h := r.Histogram("latency_seconds", L("endpoint", "track"))
@@ -308,7 +311,7 @@ func TestPrometheusExemplars(t *testing.T) {
 func TestJSONRenderParsesAndMerges(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
 	a.Counter("alpha_total").Add(2)
-	b.Gauge("beta").Set(-4)
+	b.GaugeFunc("beta", func() float64 { return -4 })
 	b.Histogram("lat_seconds").Observe(time.Millisecond)
 	var buf bytes.Buffer
 	WriteJSON(&buf, a, b)
@@ -347,9 +350,10 @@ func TestCompactRender(t *testing.T) {
 func TestConcurrentObserveAndRender(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total")
-	g := r.Gauge("g")
+	var g atomic.Int64
 	h := r.Histogram("h_seconds")
 	r.GaugeFunc("f", func() float64 { return float64(c.Value()) })
+	r.GaugeFunc("g", func() float64 { return float64(g.Load()) })
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)

@@ -22,7 +22,6 @@ type metricKind uint8
 
 const (
 	kindCounter metricKind = iota
-	kindGauge
 	kindHistogram
 	kindCounterFunc
 	kindGaugeFunc
@@ -36,7 +35,6 @@ type series struct {
 	kind   metricKind
 
 	counter   *Counter
-	gauge     *Gauge
 	hist      *Histogram
 	counterFn func() uint64
 	gaugeFn   func() float64
@@ -104,8 +102,6 @@ func (r *Registry) register(name string, labels []Label, kind metricKind) *serie
 	switch kind {
 	case kindCounter:
 		s.counter = &Counter{}
-	case kindGauge:
-		s.gauge = &Gauge{}
 	case kindHistogram:
 		s.hist = &Histogram{}
 	}
@@ -119,12 +115,6 @@ func (r *Registry) register(name string, labels []Label, kind metricKind) *serie
 // it on first use.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	return r.register(name, labels, kindCounter).counter
-}
-
-// Gauge returns the gauge registered under name+labels, creating it on
-// first use.
-func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	return r.register(name, labels, kindGauge).gauge
 }
 
 // Histogram returns the histogram registered under name+labels,
@@ -219,8 +209,6 @@ func WritePrometheus(w io.Writer, regs ...*Registry) {
 			switch s.kind {
 			case kindCounter:
 				fmt.Fprintf(w, "%s%s %d\n", s.name, s.labels, s.counter.Value())
-			case kindGauge:
-				fmt.Fprintf(w, "%s%s %d\n", s.name, s.labels, s.gauge.Value())
 			case kindCounterFunc:
 				fmt.Fprintf(w, "%s%s %d\n", s.name, s.labels, s.counterFn())
 			case kindGaugeFunc:
@@ -278,8 +266,6 @@ func WriteJSON(w io.Writer, regs ...*Registry) {
 			switch s.kind {
 			case kindCounter:
 				fmt.Fprintf(w, "%d", s.counter.Value())
-			case kindGauge:
-				fmt.Fprintf(w, "%d", s.gauge.Value())
 			case kindCounterFunc:
 				fmt.Fprintf(w, "%d", s.counterFn())
 			case kindGaugeFunc:
@@ -315,8 +301,6 @@ func (r *Registry) Compact() string {
 		switch s.kind {
 		case kindCounter:
 			fmt.Fprintf(&b, "%d", s.counter.Value())
-		case kindGauge:
-			fmt.Fprintf(&b, "%d", s.gauge.Value())
 		case kindCounterFunc:
 			fmt.Fprintf(&b, "%d", s.counterFn())
 		case kindGaugeFunc:

@@ -1,8 +1,6 @@
 package pipeline
 
 import (
-	"bufio"
-	"fmt"
 	"io"
 	"time"
 
@@ -13,288 +11,103 @@ import (
 // The columnar report log replaces full in-memory trace retention for
 // large worlds: the pipeline streams accepted reports to disk as they
 // happen, and readers stream them back one frame at a time, never
-// holding the whole log.
+// holding the whole log. It is a collog.go log with magic "TAGRPT1\n"
+// and these columns:
 //
-// Layout (little-endian throughout):
-//
-//	file  := magic frames*
-//	magic := "TAGRPT1\n" (8 bytes)
-//	frame := u32 payloadBytes | payload       -- length-prefixed
-//	payload :=
-//	    u32 count
-//	    i64 t[count]        -- Report.T, unix nanos
-//	    i64 heardAt[count]  -- Report.HeardAt, unix nanos
-//	    u64 lat[count]      -- math.Float64bits
-//	    u64 lon[count]
-//	    u64 rssi[count]
-//	    u8  vendor[count]
-//	    strcol tagID
-//	    strcol reporterID
+//	i64 t[count]        -- Report.T, unix nanos
+//	i64 heardAt[count]  -- Report.HeardAt, unix nanos
+//	u64 lat[count]      -- math.Float64bits
+//	u64 lon[count]
+//	u64 rssi[count]
+//	u8  vendor[count]
+//	strcol tagID
+//	strcol reporterID
 //	strcol := (u32 len | bytes)*count
 //
 // The column-per-field layout mirrors the analysis index's int64-nano
 // time columns, so a future reader can scan one column without decoding
 // the rest; the frame length prefix lets readers skip frames wholesale.
-// The framing mechanics are internal/colfmt's — the same codec behind
-// the truth log and the storage engine's WAL and segments.
-const reportLogMagic = "TAGRPT1\n"
-
-// DefaultSinkFlush is the default reports-per-frame of the columnar
-// sink. Framing depends only on the report sequence and this constant,
-// which is what makes a streamed file byte-identical to one written
-// from a batch-collected log.
-const DefaultSinkFlush = 4096
-
-// maxFrameBytes bounds a frame a reader will accept, so a corrupt
-// length prefix cannot drive an allocation by gigabytes.
-const maxFrameBytes = colfmt.MaxFrameBytes
-
-// ReportWriter encodes reports into the columnar log. It is not safe
-// for concurrent use; the pipeline drives it from one consumer
-// goroutine.
-type ReportWriter struct {
-	w          *bufio.Writer
-	batch      []trace.Report
-	payload    []byte // reused frame-encode buffer
-	flushEvery int
-	wroteMagic bool
-	closed     bool
-}
-
-// NewReportWriter builds a writer that frames every flushEvery reports
-// (<= 0 means DefaultSinkFlush).
-func NewReportWriter(w io.Writer, flushEvery int) *ReportWriter {
-	if flushEvery <= 0 {
-		flushEvery = DefaultSinkFlush
-	}
-	return &ReportWriter{w: bufio.NewWriter(w), flushEvery: flushEvery}
-}
-
-// Append adds reports to the current frame, writing frames as the
-// threshold fills.
-func (w *ReportWriter) Append(reports ...trace.Report) error {
-	if w.closed {
-		return fmt.Errorf("pipeline: append to closed ReportWriter")
-	}
-	for _, r := range reports {
-		w.batch = append(w.batch, r)
-		if len(w.batch) >= w.flushEvery {
-			if err := w.writeFrame(); err != nil {
-				return err
-			}
+var reportLog = logCodec[trace.Report]{
+	name:  "report",
+	magic: "TAGRPT1\n",
+	fixed: 8 + 8 + 8 + 8 + 8 + 1,
+	encode: func(p []byte, rs []trace.Report) []byte {
+		for _, r := range rs {
+			p = colfmt.AppendI64(p, r.T.UnixNano())
 		}
-	}
-	return nil
-}
-
-// Close writes the final partial frame and flushes buffered bytes. It
-// does not close the underlying writer.
-func (w *ReportWriter) Close() error {
-	if w.closed {
-		return nil
-	}
-	w.closed = true
-	if len(w.batch) > 0 || !w.wroteMagic {
-		if err := w.writeFrame(); err != nil {
-			return err
+		for _, r := range rs {
+			p = colfmt.AppendI64(p, r.HeardAt.UnixNano())
 		}
-	}
-	return w.w.Flush()
-}
-
-func (w *ReportWriter) writeFrame() error {
-	if !w.wroteMagic {
-		w.wroteMagic = true
-		if _, err := w.w.WriteString(reportLogMagic); err != nil {
-			return err
+		for _, r := range rs {
+			p = colfmt.AppendF64(p, r.Pos.Lat)
 		}
-	}
-	rs := w.batch
-	size := 4 // count
-	size += len(rs) * (8 + 8 + 8 + 8 + 8 + 1)
-	for _, r := range rs {
-		size += colfmt.StrSize(r.TagID) + colfmt.StrSize(r.ReporterID)
-	}
-	if size > maxFrameBytes {
-		// Refuse to write what the package's own reader would reject
-		// (and what a u32 length prefix could silently truncate past
-		// 4 GiB). Callers hit this only with an absurd flushEvery.
-		return fmt.Errorf("pipeline: frame of %d reports is %d bytes, exceeding the %d-byte frame cap; use a smaller flushEvery", len(rs), size, maxFrameBytes)
-	}
-	p := w.payload[:0]
-	p = colfmt.AppendU32(p, uint32(len(rs)))
-	for _, r := range rs {
-		p = colfmt.AppendI64(p, r.T.UnixNano())
-	}
-	for _, r := range rs {
-		p = colfmt.AppendI64(p, r.HeardAt.UnixNano())
-	}
-	for _, r := range rs {
-		p = colfmt.AppendF64(p, r.Pos.Lat)
-	}
-	for _, r := range rs {
-		p = colfmt.AppendF64(p, r.Pos.Lon)
-	}
-	for _, r := range rs {
-		p = colfmt.AppendF64(p, r.RSSI)
-	}
-	for _, r := range rs {
-		p = append(p, byte(r.Vendor))
-	}
-	for _, r := range rs {
-		p = colfmt.AppendStr(p, r.TagID)
-	}
-	for _, r := range rs {
-		p = colfmt.AppendStr(p, r.ReporterID)
-	}
-	w.payload = p
-	if err := colfmt.WriteFrame(w.w, p); err != nil {
-		return err
-	}
-	w.batch = w.batch[:0]
-	return nil
+		for _, r := range rs {
+			p = colfmt.AppendF64(p, r.Pos.Lon)
+		}
+		for _, r := range rs {
+			p = colfmt.AppendF64(p, r.RSSI)
+		}
+		for _, r := range rs {
+			p = append(p, byte(r.Vendor))
+		}
+		for _, r := range rs {
+			p = colfmt.AppendStr(p, r.TagID)
+		}
+		for _, r := range rs {
+			p = colfmt.AppendStr(p, r.ReporterID)
+		}
+		return p
+	},
+	decode: func(d *colfmt.Dec, out []trace.Report) {
+		for i := range out {
+			out[i].T = time.Unix(0, d.I64()).UTC()
+		}
+		for i := range out {
+			out[i].HeardAt = time.Unix(0, d.I64()).UTC()
+		}
+		for i := range out {
+			out[i].Pos.Lat = d.F64()
+		}
+		for i := range out {
+			out[i].Pos.Lon = d.F64()
+		}
+		for i := range out {
+			out[i].RSSI = d.F64()
+		}
+		for i := range out {
+			out[i].Vendor = trace.Vendor(d.U8())
+		}
+		for i := range out {
+			out[i].TagID = d.Str()
+		}
+		for i := range out {
+			out[i].ReporterID = d.Str()
+		}
+	},
 }
 
-// WriteReports one-shots a report slice into the columnar format — the
-// batch path's dump. Bytes are identical to a ReportSink streaming the
-// same report sequence at the same flushEvery.
-func WriteReports(w io.Writer, reports []trace.Report, flushEvery int) error {
-	rw := NewReportWriter(w, flushEvery)
-	if err := rw.Append(reports...); err != nil {
-		return err
-	}
-	return rw.Close()
-}
-
-// ReportReader streams frames back from a columnar report log.
-type ReportReader struct {
-	r   *bufio.Reader
-	err error
-}
+// ReportReader streams a columnar report log back one frame at a time.
+type ReportReader = logReader[trace.Report]
 
 // NewReportReader validates the magic and positions at the first frame.
-func NewReportReader(r io.Reader) (*ReportReader, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(reportLogMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("pipeline: report log header: %w", err)
-	}
-	if string(magic) != reportLogMagic {
-		return nil, fmt.Errorf("pipeline: bad report log magic %q", magic)
-	}
-	return &ReportReader{r: br}, nil
-}
+func NewReportReader(r io.Reader) (*ReportReader, error) { return openLog(&reportLog, r) }
 
-// Next returns the next frame's reports, or io.EOF after the last
-// frame. A short or corrupt frame returns a descriptive error.
-func (r *ReportReader) Next() ([]trace.Report, error) {
-	if r.err != nil {
-		return nil, r.err
-	}
-	payload, err := colfmt.ReadFrame(r.r)
-	if err != nil {
-		if err == io.EOF {
-			r.err = io.EOF
-		} else {
-			r.err = fmt.Errorf("pipeline: report log: %w", err)
-		}
-		return nil, r.err
-	}
-	reports, err := decodeFrame(payload)
-	if err != nil {
-		r.err = err
-		return nil, err
-	}
-	return reports, nil
-}
+// ReadReports reads a whole columnar report log from r.
+func ReadReports(r io.Reader) ([]trace.Report, error) { return readLog(&reportLog, r) }
 
-// ReadAll drains the remaining frames into one slice.
-func (r *ReportReader) ReadAll() ([]trace.Report, error) {
-	var out []trace.Report
-	for {
-		frame, err := r.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, frame...)
-	}
-}
+// ReportSink is the pipeline consumer streaming the merged report log
+// to disk. It re-frames the stream every DefaultSinkFlush reports, so
+// the file bytes depend only on the (deterministic) report sequence —
+// never on how the worlds happened to batch their emissions.
+type ReportSink struct{ logWriter[trace.Report] }
 
-// ReadReports reads a whole columnar log from r.
-func ReadReports(r io.Reader) ([]trace.Report, error) {
-	rr, err := NewReportReader(r)
-	if err != nil {
-		return nil, err
-	}
-	return rr.ReadAll()
-}
-
-func decodeFrame(payload []byte) ([]trace.Report, error) {
-	d := colfmt.NewDec(payload)
-	count := d.U32()
-	fixed := int(count) * (8 + 8 + 8 + 8 + 8 + 1)
-	if d.Err() != nil || fixed < 0 || d.Off()+fixed > len(payload) {
-		return nil, fmt.Errorf("pipeline: frame count %d exceeds payload", count)
-	}
-	out := make([]trace.Report, count)
-	for i := range out {
-		out[i].T = time.Unix(0, d.I64()).UTC()
-	}
-	for i := range out {
-		out[i].HeardAt = time.Unix(0, d.I64()).UTC()
-	}
-	for i := range out {
-		out[i].Pos.Lat = d.F64()
-	}
-	for i := range out {
-		out[i].Pos.Lon = d.F64()
-	}
-	for i := range out {
-		out[i].RSSI = d.F64()
-	}
-	for i := range out {
-		out[i].Vendor = trace.Vendor(d.U8())
-	}
-	for i := range out {
-		out[i].TagID = d.Str()
-		if d.Err() != nil {
-			return nil, fmt.Errorf("pipeline: report frame: %w", d.Err())
-		}
-	}
-	for i := range out {
-		out[i].ReporterID = d.Str()
-		if d.Err() != nil {
-			return nil, fmt.Errorf("pipeline: report frame: %w", d.Err())
-		}
-	}
-	if err := d.Close(); err != nil {
-		return nil, fmt.Errorf("pipeline: report frame: %w", err)
-	}
-	return out, nil
-}
-
-// ReportSink is the pipeline consumer wrapping a ReportWriter: it
-// re-frames the merged report stream at its own threshold, so the file
-// bytes depend only on the (deterministic) report sequence — never on
-// how the worlds happened to batch their emissions.
-type ReportSink struct {
-	w *ReportWriter
-}
-
-// NewReportSink builds the consumer (flushEvery <= 0 means
-// DefaultSinkFlush).
-func NewReportSink(w io.Writer, flushEvery int) *ReportSink {
-	return &ReportSink{w: NewReportWriter(w, flushEvery)}
+// NewReportSink builds the consumer.
+func NewReportSink(w io.Writer) *ReportSink {
+	return &ReportSink{newLogWriter(&reportLog, w)}
 }
 
 // Consume implements Consumer.
-func (s *ReportSink) Consume(b Batch) error { return s.w.Append(b.Reports...) }
-
-// Close implements Consumer.
-func (s *ReportSink) Close() error { return s.w.Close() }
+func (s *ReportSink) Consume(b Batch) error { return s.append(b.Reports) }
 
 // Name labels this consumer in pipeline stats.
 func (s *ReportSink) Name() string { return "disk" }

@@ -23,7 +23,7 @@ func TestConsumerStats(t *testing.T) {
 	p := New(nWorlds, Config{FlushEvery: 16},
 		NewStoreIngester(services),
 		NewCampaignAccumulator(nWorlds, 1),
-		NewReportSink(&buf, 0),
+		NewReportSink(&buf),
 		c)
 	runWorlds(p, nWorlds, nPer, 7)
 	if err := p.Wait(); err != nil {

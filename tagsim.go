@@ -376,7 +376,7 @@ type (
 	// the stream, holding only distinct crawl records.
 	CampaignAccumulator = pipeline.CampaignAccumulator
 	// ReportSink streams the merged report log to disk in the columnar
-	// format.
+	// format, one frame per 4096 reports.
 	ReportSink = pipeline.ReportSink
 	// ReportColumnarReader streams frames back from a columnar report
 	// log.
@@ -393,9 +393,6 @@ var (
 	NewCampaignAccumulator = pipeline.NewCampaignAccumulator
 	// NewReportSink builds the columnar disk-sink consumer.
 	NewReportSink = pipeline.NewReportSink
-	// WriteReportsColumnar one-shots a report slice into the columnar
-	// format (byte-identical to a streamed sink of the same sequence).
-	WriteReportsColumnar = pipeline.WriteReports
 	// ReadReportsColumnar reads a whole columnar report log.
 	ReadReportsColumnar = pipeline.ReadReports
 	// NewReportColumnarReader opens a streaming columnar log reader.

@@ -20,9 +20,9 @@ import (
 //
 //	go run ./cmd/tagsim -scenario wild -seed 1 -scale 0.02 -workers 2 -reportlog -truthlog -out D
 var worldOutputDigests = map[int64]string{
-	1: "c9bb74d17e2c3a426ad0c5d105f29375d7fd316714431323df713993cb6d9646",
-	2: "1c2811e297b8f4a8944fcc098997587617245046959e1980fd3a88b6519d0d44",
-	3: "e5d5d4539203e8a4f908fa25cfcefd78603a0997bc95bcfd995a173351d489d7",
+	1: "a535c811be7afa249db327e0f7d331cff0df07f4e6a66c83ed60891b9c3acc07",
+	2: "e7df07a622fda8b4f3c8d8c116554df8eec53748587a0be0c5bf96017ca495d6",
+	3: "ca2c1ba89c714082c1a1c38e6e58eb5eb4391c0882570599f5590753be9e4877",
 }
 
 // wildOutputFiles runs the campaign at seed and workers the way
@@ -32,7 +32,7 @@ func wildOutputFiles(t *testing.T, seed int64, workers int) map[string][]byte {
 	t.Helper()
 	var reports, truth bytes.Buffer
 	res, err := tagsim.CollectWild(tagsim.WildConfig{Seed: seed, Scale: 0.02, Workers: workers},
-		pipeline.NewReportSink(&reports, 0), pipeline.NewTruthSink(&truth, 0))
+		pipeline.NewReportSink(&reports), pipeline.NewTruthSink(&truth))
 	if err != nil {
 		t.Fatal(err)
 	}
