@@ -110,12 +110,13 @@ func bothLogs(t *testing.T, report func(*testing.T, logSpec[trace.Report]), trut
 	t.Run("truth", func(t *testing.T) { truth(t, truthSpec) })
 }
 
-// TestColumnarRoundTrip: every row count writes and reads back
-// exactly, in one frame per DefaultSinkFlush rows (one count-0 frame
-// for an empty log), with the streaming reader ending on io.EOF.
-func TestColumnarRoundTrip(t *testing.T) {
-	bothLogs(t, checkRoundTrip[trace.Report], checkRoundTrip[trace.GroundTruth])
-}
+// TestColumnarRoundTrip and TestTruthRoundTrip: every row count writes
+// and reads back exactly, in one frame per DefaultSinkFlush rows (one
+// count-0 frame for an empty log), with the streaming reader ending on
+// io.EOF; the first for the report log, the second for the truth log.
+func TestColumnarRoundTrip(t *testing.T) { checkRoundTrip(t, reportSpec) }
+
+func TestTruthRoundTrip(t *testing.T) { checkRoundTrip(t, truthSpec) }
 
 func checkRoundTrip[T any](t *testing.T, s logSpec[T]) {
 	for _, n := range []int{0, 1, 5, DefaultSinkFlush, DefaultSinkFlush + 1, 2*DefaultSinkFlush + 808} {
@@ -201,11 +202,13 @@ func corruptLogs[T any](t testing.TB, s logSpec[T]) []corruptLog {
 	}
 }
 
-// TestColumnarReaderErrors: truncated, mangled and foreign logs are
-// refused with errors, not panics, garbage or a silent early end.
-func TestColumnarReaderErrors(t *testing.T) {
-	bothLogs(t, checkReaderErrors[trace.Report], checkReaderErrors[trace.GroundTruth])
-}
+// TestColumnarReaderErrors and TestTruthFileCorruption: truncated,
+// mangled and foreign logs are refused with errors, not panics, garbage
+// or a silent early end; the first for the report log, the second for
+// the truth log.
+func TestColumnarReaderErrors(t *testing.T) { checkReaderErrors(t, reportSpec) }
+
+func TestTruthFileCorruption(t *testing.T) { checkReaderErrors(t, truthSpec) }
 
 func checkReaderErrors[T any](t *testing.T, s logSpec[T]) {
 	for _, c := range corruptLogs(t, s) {
